@@ -6,14 +6,15 @@
 //!   the paper's `m² − d²` form and the Hadsell `(m − d)²` form.
 //! * **A3 pair scheme** — the §5.2 reduced pair population vs full pairs:
 //!   accuracy and update wall-time.
-//! * **A4 strategy comparison** — PILOTE vs the canonical CL families.
+//! * **A4 strategy comparison** — every [`Strategy`] on one new-class
+//!   draw: PILOTE, the paper's two baselines and the canonical CL families.
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{build_scenario, pretrain_base, run_pilote, PretrainedBase};
+use crate::scenario::{self, build_scenario, pretrain_base, PretrainedBase};
 use pilote_core::pairs::PairScheme;
 use pilote_core::pilote::{train_embedding, TrainOptions};
-use pilote_core::strategies::{run_strategy, Strategy};
+use pilote_core::strategies::Strategy;
 use pilote_har_data::Activity;
 use pilote_nn::loss::ContrastiveForm;
 use serde_json::json;
@@ -34,7 +35,8 @@ pub fn alpha_sweep(scale: &Scale, seed: u64, out: &Path) -> Result<Vec<(f32, f32
         eprintln!("[ablate-alpha] alpha = {alpha}");
         let mut model = base.model.clone_model();
         model.config_mut().alpha = alpha;
-        let (run, _) = run_pilote(&mut model, &base.scenario, n_new, seed ^ 0xa1);
+        let (run, _) =
+            scenario::run(Strategy::Pilote, &mut model, &base.scenario, n_new, seed ^ 0xa1);
         rows.push((alpha, run.accuracy, run.old_accuracy));
     }
     let mut t = Table::new("A1: balancing weight α", &["alpha", "accuracy", "old-class accuracy"]);
@@ -61,7 +63,8 @@ pub fn margin_sweep(scale: &Scale, seed: u64, out: &Path) -> Result<Vec<(String,
             let mut model = base.model.clone_model();
             model.config_mut().margin = margin;
             model.config_mut().contrastive_form = form;
-            let (run, _) = run_pilote(&mut model, &base.scenario, n_new, seed ^ 0xa2);
+            let (run, _) =
+                scenario::run(Strategy::Pilote, &mut model, &base.scenario, n_new, seed ^ 0xa2);
             rows.push((format!("{form:?}/m={margin}"), margin, run.accuracy));
         }
     }
@@ -137,7 +140,8 @@ pub fn pair_scheme_sweep(
     Ok(rows)
 }
 
-/// A4: PILOTE vs the canonical continual-learning strategy families.
+/// A4: every strategy from the same pre-trained model on the same
+/// new-class draw.
 pub fn strategy_comparison(
     scale: &Scale,
     seed: u64,
@@ -145,32 +149,17 @@ pub fn strategy_comparison(
 ) -> Result<Vec<(String, f32, f32, f32)>, ReportError> {
     let base = base_for(scale, seed);
     let n_new = scale.exemplars_per_class;
-    let mut rng = pilote_tensor::Rng64::new(seed ^ 0xa4);
-    let new_data = base
-        .scenario
-        .new_pool
-        .sample_class(base.scenario.new_activity.label(), n_new, &mut rng)
-        .expect("sample");
-    let new_label = base.scenario.new_activity.label();
-    let mut rows = Vec::new();
-
-    // PILOTE itself first.
-    let mut pil = base.model.clone_model();
-    let (run, _) = run_pilote(&mut pil, &base.scenario, n_new, seed ^ 0xa4);
-    rows.push(("pilote".to_string(), run.accuracy, run.old_accuracy, run.new_accuracy));
-
-    for strategy in [
-        Strategy::NaiveFinetune,
-        Strategy::Replay { budget: n_new },
-        Strategy::GDumb { budget: n_new },
-        Strategy::Ewc { lambda: 50.0 },
-        Strategy::Lwf { temperature: 2.0 },
-    ] {
-        eprintln!("[ablate-strategies] {}", strategy.name());
-        let outcome = run_strategy(strategy, &base.model, &new_data, &base.scenario.test, new_label)
-            .expect("strategy");
-        rows.push((outcome.strategy, outcome.accuracy, outcome.old_accuracy, outcome.new_accuracy));
-    }
+    // One round seed for every row, so every strategy learns the same
+    // new-class draw.
+    let rows: Vec<(String, f32, f32, f32)> = Strategy::ALL
+        .into_iter()
+        .map(|strategy| {
+            eprintln!("[ablate-strategies] {}", strategy.name());
+            let mut model = base.model.clone_model();
+            let (run, _) = scenario::run(strategy, &mut model, &base.scenario, n_new, seed ^ 0xa4);
+            (strategy.name().to_string(), run.accuracy, run.old_accuracy, run.new_accuracy)
+        })
+        .collect();
 
     let mut t = Table::new(
         "A4: continual-learning strategy comparison (new class Run)",
@@ -189,4 +178,58 @@ pub fn strategy_comparison(
             .collect::<Vec<_>>()),
     )?;
     Ok(rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tiny() -> Scale {
+        Scale {
+            per_activity: 60,
+            rounds: 1,
+            exemplars_per_class: 10,
+            max_epochs: 2,
+            pretrain_epochs: 2,
+            ..Scale::default()
+        }
+    }
+
+    /// Every A4 row is one `scenario::run` at the shared round seed, and
+    /// every arm stores the same drawn new-class samples — no row is scored
+    /// on a different draw.
+    #[test]
+    fn strategy_rows_share_one_new_class_draw() {
+        let (scale, seed) = (tiny(), 3);
+        let dir = std::env::temp_dir().join("pilote_ablate_strategies_test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let rows = strategy_comparison(&scale, seed, &dir).expect("A4");
+        assert_eq!(rows.len(), Strategy::ALL.len());
+
+        let base = base_for(&scale, seed);
+        let new_label = base.scenario.new_activity.label();
+        let mut drawn = Vec::new();
+        for (strategy, row) in Strategy::ALL.into_iter().zip(&rows) {
+            let mut model = base.model.clone_model();
+            let (run, _) = scenario::run(
+                strategy,
+                &mut model,
+                &base.scenario,
+                scale.exemplars_per_class,
+                seed ^ 0xa4,
+            );
+            let expected =
+                (strategy.name().to_string(), run.accuracy, run.old_accuracy, run.new_accuracy);
+            assert_eq!(row, &expected, "{}: row differs from its shared-draw run", strategy.name());
+            let stored = model.support().class(new_label).expect("new class stored");
+            let mut samples: Vec<Vec<u32>> = (0..stored.rows())
+                .map(|i| stored.row(i).iter().map(|v| v.to_bits()).collect())
+                .collect();
+            samples.sort();
+            drawn.push((strategy.name(), samples));
+        }
+        for (name, samples) in &drawn[1..] {
+            assert_eq!(samples, &drawn[0].1, "{name} learned a different new-class draw");
+        }
+    }
 }

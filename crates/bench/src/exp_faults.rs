@@ -23,7 +23,8 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{pretrain_base, run_pilote, run_pretrained, run_retrained, Scenario};
+use crate::scenario::{self, pretrain_base, Scenario};
+use pilote_core::strategies::Strategy;
 use pilote_core::{Pilote, UpdateStage};
 use pilote_edge_sim::faults::{
     FlakyLink, LinkFaultRates, RetryPolicy, SensorFaultInjector, SensorFaultRates,
@@ -232,11 +233,11 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     // The three models of §6.1.3, updated once on clean data; the sensor
     // sweep then measures how their accuracy holds up on corrupted input.
     let mut pre = base.model.clone_model();
-    run_pretrained(&mut pre, &base.scenario, new_exemplars, seed);
+    scenario::run(Strategy::Pretrained, &mut pre, &base.scenario, new_exemplars, seed);
     let mut ret = base.model.clone_model();
-    run_retrained(&mut ret, &base.scenario, new_exemplars, seed);
+    scenario::run(Strategy::Retrained, &mut ret, &base.scenario, new_exemplars, seed);
     let mut pil = base.model.clone_model();
-    run_pilote(&mut pil, &base.scenario, new_exemplars, seed);
+    scenario::run(Strategy::Pilote, &mut pil, &base.scenario, new_exemplars, seed);
 
     // Raw eval windows (label, [120, 22]) streamed through the assembler.
     let eval_per_activity = (scale.per_activity / 4).max(20);

@@ -7,7 +7,8 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{build_scenario, pretrain_base, run_pilote, run_pretrained, run_retrained};
+use crate::scenario::{self, build_scenario, pretrain_base};
+use pilote_core::strategies::Strategy;
 use pilote_core::{ConfusionMatrix, Pilote};
 use pilote_har_data::{Activity, Dataset};
 use serde_json::json;
@@ -44,15 +45,15 @@ pub fn run(
     let n_new = scale.exemplars_per_class;
 
     let mut pre = base.model.clone_model();
-    run_pretrained(&mut pre, &base.scenario, n_new, seed ^ 1);
+    scenario::run(Strategy::Pretrained, &mut pre, &base.scenario, n_new, seed ^ 1);
     let cm_pre = confusion(&mut pre, &base.scenario.test);
 
     let mut retr = base.model.clone_model();
-    run_retrained(&mut retr, &base.scenario, n_new, seed ^ 2);
+    scenario::run(Strategy::Retrained, &mut retr, &base.scenario, n_new, seed ^ 2);
     let cm_retr = confusion(&mut retr, &base.scenario.test);
 
     let mut pil = base.model.clone_model();
-    run_pilote(&mut pil, &base.scenario, n_new, seed ^ 2);
+    scenario::run(Strategy::Pilote, &mut pil, &base.scenario, n_new, seed ^ 2);
     let cm_pil = confusion(&mut pil, &base.scenario.test);
 
     for (name, cm) in [("Pre-trained", &cm_pre), ("Re-trained", &cm_retr), ("PILOTE", &cm_pil)] {

@@ -9,7 +9,8 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{build_scenario, pretrain_base, run_pilote, run_pretrained, run_retrained};
+use crate::scenario::{self, build_scenario, pretrain_base};
+use pilote_core::strategies::Strategy;
 use pilote_core::projection::{pairwise_separation, scatter_2d, separation_score};
 use pilote_core::Pilote;
 use pilote_har_data::{Activity, Dataset};
@@ -70,15 +71,15 @@ pub fn run(
     }
 
     let mut pre = base.model.clone_model();
-    run_pretrained(&mut pre, &base.scenario, n_new, seed ^ 1);
+    scenario::run(Strategy::Pretrained, &mut pre, &base.scenario, n_new, seed ^ 1);
     let (q_pre, s_pre) = analyse(&mut pre, &plot_set);
 
     let mut retr = base.model.clone_model();
-    run_retrained(&mut retr, &base.scenario, n_new, seed ^ 2);
+    scenario::run(Strategy::Retrained, &mut retr, &base.scenario, n_new, seed ^ 2);
     let (q_retr, s_retr) = analyse(&mut retr, &plot_set);
 
     let mut pil = base.model.clone_model();
-    run_pilote(&mut pil, &base.scenario, n_new, seed ^ 2);
+    scenario::run(Strategy::Pilote, &mut pil, &base.scenario, n_new, seed ^ 2);
     let (q_pil, s_pil) = analyse(&mut pil, &plot_set);
 
     let mut t = Table::new(

@@ -11,8 +11,9 @@
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
 use crate::scenario::{
-    build_scenario, pretrain_base, run_pilote, run_pretrained, run_retrained, with_support_budget,
+    self, build_scenario, pretrain_base, with_support_budget,
 };
+use pilote_core::strategies::Strategy;
 use pilote_core::SelectionStrategy;
 use pilote_har_data::Activity;
 use serde_json::json;
@@ -53,11 +54,14 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<Vec<Fig6Point>, Repor
             let rebased = with_support_budget(&base, budget, strategy, seed ^ budget as u64);
 
             let mut pre = rebased.clone_model();
-            let r_pre = run_pretrained(&mut pre, &base.scenario, budget, seed ^ 0xa);
+            let (r_pre, _) =
+                scenario::run(Strategy::Pretrained, &mut pre, &base.scenario, budget, seed ^ 0xa);
             let mut retr = rebased.clone_model();
-            let r_retr = run_retrained(&mut retr, &base.scenario, budget, seed ^ 0xb);
+            let (r_retr, _) =
+                scenario::run(Strategy::Retrained, &mut retr, &base.scenario, budget, seed ^ 0xb);
             let mut pil = rebased.clone_model();
-            let (r_pil, _) = run_pilote(&mut pil, &base.scenario, budget, seed ^ 0xb);
+            let (r_pil, _) =
+                scenario::run(Strategy::Pilote, &mut pil, &base.scenario, budget, seed ^ 0xb);
 
             points.push(Fig6Point {
                 strategy: strategy.name(),

@@ -8,7 +8,8 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{build_scenario, pretrain_base, run_pilote, run_pretrained, run_retrained};
+use crate::scenario::{self, build_scenario, pretrain_base};
+use pilote_core::strategies::Strategy;
 use pilote_har_data::Activity;
 use serde_json::json;
 use std::path::Path;
@@ -38,11 +39,14 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<Vec<Fig7Point>, Repor
     for &n_new in &NEW_COUNTS {
         eprintln!("[fig7] {} new-class exemplars", n_new);
         let mut pre = base.model.clone_model();
-        let r_pre = run_pretrained(&mut pre, &base.scenario, n_new, seed ^ 0x70);
+        let (r_pre, _) =
+            scenario::run(Strategy::Pretrained, &mut pre, &base.scenario, n_new, seed ^ 0x70);
         let mut retr = base.model.clone_model();
-        let r_retr = run_retrained(&mut retr, &base.scenario, n_new, seed ^ 0x71);
+        let (r_retr, _) =
+            scenario::run(Strategy::Retrained, &mut retr, &base.scenario, n_new, seed ^ 0x71);
         let mut pil = base.model.clone_model();
-        let (r_pil, _) = run_pilote(&mut pil, &base.scenario, n_new, seed ^ 0x71);
+        let (r_pil, _) =
+            scenario::run(Strategy::Pilote, &mut pil, &base.scenario, n_new, seed ^ 0x71);
         points.push(Fig7Point {
             new_exemplars: n_new,
             pretrained: r_pre.accuracy,

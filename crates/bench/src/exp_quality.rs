@@ -25,7 +25,7 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use pilote_core::baselines::retrained_update;
+use pilote_core::strategies::Strategy;
 use pilote_core::{Pilote, PiloteConfig, QualityThresholds, SelectionStrategy};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::dataset::Dataset;
@@ -153,7 +153,9 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
             .arm_quality_monitor(probe.clone(), &base_labels, thresholds)
             .expect("arm");
         if retrain {
-            retrained_update(device.model_mut(), &ab_samples, budget).expect("retrained update");
+            Strategy::Retrained
+                .update(device.model_mut(), &ab_samples, budget)
+                .expect("retrained update");
             device.sample_quality().expect("sample");
         } else {
             for i in 0..ab_samples.features.rows() {

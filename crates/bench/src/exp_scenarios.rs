@@ -35,7 +35,7 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use pilote_core::baselines::{pretrained_update, retrained_update};
+use pilote_core::strategies::Strategy;
 use pilote_core::{
     Pilote, PiloteConfig, QualityThresholds, SelectionStrategy, SessionSummary, TaskGroup,
 };
@@ -178,7 +178,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
         })
         .collect();
 
-    let arm = |strategy: &str| -> EdgeDevice {
+    let arm = |strategy: Strategy| -> EdgeDevice {
         let mut device =
             EdgeDevice::install(DeviceProfile::flagship_phone(), &deployment, &LinkModel::wifi())
                 .expect("install");
@@ -191,31 +191,23 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
             )
             .expect("arm");
         for (activity, batch) in INCREMENTS.iter().zip(&batches) {
-            match strategy {
-                "pilote" => {
-                    for i in 0..batch.features.rows() {
-                        device
-                            .label_sample(activity.label(), Tensor::vector(batch.features.row(i)));
-                    }
-                    device.update(budget).expect("pilote update");
+            if strategy == Strategy::Pilote {
+                // PILOTE runs on-device: label the samples, then the
+                // device's own crash-safe update.
+                for i in 0..batch.features.rows() {
+                    device.label_sample(activity.label(), Tensor::vector(batch.features.row(i)));
                 }
-                "retrained" => {
-                    retrained_update(device.model_mut(), batch, budget).expect("retrained update");
-                    device.sample_quality().expect("sample");
-                }
-                "pretrained" => {
-                    pretrained_update(device.model_mut(), batch, budget)
-                        .expect("pretrained update");
-                    device.sample_quality().expect("sample");
-                }
-                other => unreachable!("unknown strategy {other}"),
+                device.update(budget).expect("pilote update");
+            } else {
+                strategy.update(device.model_mut(), batch, budget).expect("strategy update");
+                device.sample_quality().expect("sample");
             }
         }
         device
     };
-    let (pilote_summary, pilote_doc) = arm_json(&arm("pilote"));
-    let (retrained_summary, retrained_doc) = arm_json(&arm("retrained"));
-    let (pretrained_summary, pretrained_doc) = arm_json(&arm("pretrained"));
+    let (pilote_summary, pilote_doc) = arm_json(&arm(Strategy::Pilote));
+    let (retrained_summary, retrained_doc) = arm_json(&arm(Strategy::Retrained));
+    let (pretrained_summary, pretrained_doc) = arm_json(&arm(Strategy::Pretrained));
 
     // --- part 2: the PILOTE schedule on a heterogeneous fleet -----------
     let links = [LinkModel::wifi(), LinkModel::cellular_4g(), LinkModel::weak_cellular()];

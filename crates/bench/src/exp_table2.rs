@@ -3,7 +3,8 @@
 
 use crate::report::{pm, write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{build_scenario, pretrain_base, run_pilote, run_pretrained, run_retrained};
+use crate::scenario::{self, build_scenario, pretrain_base};
+use pilote_core::strategies::Strategy;
 use pilote_core::metrics::mean_std;
 use pilote_har_data::Activity;
 use serde_json::json;
@@ -33,16 +34,25 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<Vec<Table2Row>, Repor
 
         // Pre-trained: deterministic given the base, one round.
         let mut pre = base.model.clone_model();
-        let pre_run = run_pretrained(&mut pre, &base.scenario, n_new, seed ^ 0xbeef);
+        let (pre_run, _) =
+            scenario::run(Strategy::Pretrained, &mut pre, &base.scenario, n_new, seed ^ 0xbeef);
 
         let mut retr_acc = Vec::with_capacity(scale.rounds);
         let mut pil_acc = Vec::with_capacity(scale.rounds);
         for round in 0..scale.rounds {
             let round_seed = seed + 1000 * (round as u64 + 1) + si as u64;
             let mut m = base.model.clone_model();
-            retr_acc.push(run_retrained(&mut m, &base.scenario, n_new, round_seed).accuracy);
+            retr_acc.push(
+                scenario::run(Strategy::Retrained, &mut m, &base.scenario, n_new, round_seed)
+                    .0
+                    .accuracy,
+            );
             let mut m = base.model.clone_model();
-            pil_acc.push(run_pilote(&mut m, &base.scenario, n_new, round_seed).0.accuracy);
+            pil_acc.push(
+                scenario::run(Strategy::Pilote, &mut m, &base.scenario, n_new, round_seed)
+                    .0
+                    .accuracy,
+            );
             eprintln!(
                 "[table2]   round {}: re-trained {:.4}, pilote {:.4}",
                 round + 1,

@@ -8,7 +8,8 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use crate::scenario::{build_scenario, pretrain_base, run_pilote};
+use crate::scenario::{self, build_scenario, pretrain_base};
+use pilote_core::strategies::Strategy;
 use pilote_edge_sim::memory::{model_bytes, ValueWidth};
 use pilote_edge_sim::quantize::{Quantization, QuantizedMatrix};
 use pilote_edge_sim::{DeviceProfile, MemoryBudget};
@@ -45,7 +46,9 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<TimingResult, ReportE
     let n_new = scale.exemplars_per_class;
 
     let mut model = base.model.clone_model();
-    let (run, report) = run_pilote(&mut model, &base.scenario, n_new, seed ^ 0x42);
+    let (run, report) =
+        scenario::run(Strategy::Pilote, &mut model, &base.scenario, n_new, seed ^ 0x42);
+    let report = report.expect("PILOTE trains");
     // A zero-epoch run has no per-epoch latency; report it as such rather
     // than clamping the divisor and printing a bogus 0-second epoch.
     let epochs = report.epochs.len();

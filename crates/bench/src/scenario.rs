@@ -1,20 +1,21 @@
 //! Scenario construction and the three-model protocol of §6.1.3.
 //!
 //! Every experiment follows the same shape: pick one activity as the *new
-//! class*, pre-train on the remaining four, then update with one of the
-//! three strategies (pre-trained / re-trained / PILOTE) and evaluate on a
-//! held-out test set spanning all five activities. The pre-trained model
-//! is shared across strategies and rounds, exactly as in the paper
-//! ("the re-trained model and PILOTE in each scenario are based on the
-//! same pre-trained model").
+//! class*, pre-train on the remaining four, then [`run`] one
+//! [`Strategy`] (pre-trained / re-trained / PILOTE, or one of the
+//! ablation arms) and evaluate on a held-out test set spanning all five
+//! activities. The pre-trained model is shared across strategies and
+//! rounds, exactly as in the paper ("the re-trained model and PILOTE in
+//! each scenario are based on the same pre-trained model"), and every
+//! strategy run at one round seed sees the same new-class samples.
 
 use crate::scale::Scale;
-use pilote_core::baselines::{pretrained_update, retrained_update};
 use pilote_core::pilote::TrainReport;
+use pilote_core::strategies::{LwfClassifier, Strategy};
 use pilote_core::{Pilote, PiloteConfig, SelectionStrategy, SupportSet};
 use pilote_har_data::dataset::generate_features;
 use pilote_har_data::{Activity, Dataset};
-use pilote_tensor::Rng64;
+use pilote_tensor::{Rng64, TensorError};
 use std::time::Instant;
 
 /// One incremental-learning scenario.
@@ -138,17 +139,21 @@ pub struct ModelRun {
     pub old_accuracy: f32,
     /// Accuracy restricted to the new class.
     pub new_accuracy: f32,
-    /// Wall-clock seconds of the update (0 for the pre-trained strategy).
+    /// Wall-clock seconds of the update and its scoring.
     pub seconds: f64,
     /// Training epochs consumed.
     pub epochs: usize,
 }
 
-fn evaluate(model: &mut Pilote, scenario: &Scenario) -> ModelRun {
+/// Scores a classifier on the full, old-class and new-class test sets.
+fn evaluate(
+    mut accuracy: impl FnMut(&Dataset) -> Result<f32, TensorError>,
+    scenario: &Scenario,
+) -> ModelRun {
     ModelRun {
-        accuracy: model.accuracy(&scenario.test).expect("test eval"),
-        old_accuracy: model.accuracy(&scenario.old_test()).expect("old eval"),
-        new_accuracy: model.accuracy(&scenario.new_test()).expect("new eval"),
+        accuracy: accuracy(&scenario.test).expect("test eval"),
+        old_accuracy: accuracy(&scenario.old_test()).expect("old eval"),
+        new_accuracy: accuracy(&scenario.new_test()).expect("new eval"),
         seconds: 0.0,
         epochs: 0,
     }
@@ -163,54 +168,30 @@ fn draw_new_data(scenario: &Scenario, n: usize, seed: u64) -> Dataset {
         .expect("new-class sample")
 }
 
-/// Pre-trained strategy: frozen embedding, new prototype only.
-pub fn run_pretrained(
+/// Runs `strategy` on `model` for one round: re-seeds the model with
+/// `round_seed`, draws `new_exemplars` new-class samples (the same draw for
+/// every strategy at that seed), applies [`Strategy::update`] and scores
+/// the result. LwF is scored through its own softmax head; every other
+/// strategy through the model's NCM prototypes.
+pub fn run(
+    strategy: Strategy,
     model: &mut Pilote,
     scenario: &Scenario,
     new_exemplars: usize,
     round_seed: u64,
-) -> ModelRun {
+) -> (ModelRun, Option<TrainReport>) {
     model.reseed(round_seed);
     let new_data = draw_new_data(scenario, new_exemplars, round_seed);
     let start = Instant::now();
-    pretrained_update(model, &new_data, new_exemplars).expect("pretrained update");
-    let mut run = evaluate(model, scenario);
+    let (mut run, report) = if strategy == Strategy::Lwf {
+        let mut head = LwfClassifier::learn(model, &new_data).expect("lwf update");
+        (evaluate(|d| head.accuracy(d), scenario), None)
+    } else {
+        let report = strategy.update(model, &new_data, new_exemplars).expect("strategy update");
+        (evaluate(|d| model.accuracy(d), scenario), report)
+    };
     run.seconds = start.elapsed().as_secs_f64();
-    run
-}
-
-/// Re-trained strategy: contrastive fine-tune on `D₀ ∪ Dₙ`, no
-/// distillation.
-pub fn run_retrained(
-    model: &mut Pilote,
-    scenario: &Scenario,
-    new_exemplars: usize,
-    round_seed: u64,
-) -> ModelRun {
-    model.reseed(round_seed);
-    let new_data = draw_new_data(scenario, new_exemplars, round_seed);
-    let start = Instant::now();
-    let report = retrained_update(model, &new_data, new_exemplars).expect("retrained update");
-    let mut run = evaluate(model, scenario);
-    run.seconds = start.elapsed().as_secs_f64();
-    run.epochs = report.epochs.len();
-    run
-}
-
-/// PILOTE: joint distillation + contrastive update.
-pub fn run_pilote(
-    model: &mut Pilote,
-    scenario: &Scenario,
-    new_exemplars: usize,
-    round_seed: u64,
-) -> (ModelRun, TrainReport) {
-    model.reseed(round_seed);
-    let new_data = draw_new_data(scenario, new_exemplars, round_seed);
-    let start = Instant::now();
-    let report = model.learn_new_class(&new_data, new_exemplars).expect("pilote update");
-    let mut run = evaluate(model, scenario);
-    run.seconds = start.elapsed().as_secs_f64();
-    run.epochs = report.epochs.len();
+    run.epochs = report.as_ref().map_or(0, |r| r.epochs.len());
     (run, report)
 }
 
@@ -234,9 +215,11 @@ mod tests {
         let scenario = build_scenario(Activity::Run, &scale, 2);
         let base = pretrain_base(scenario, &scale, 2);
         let mut pre = base.model.clone_model();
-        let run_pre = run_pretrained(&mut pre, &base.scenario, 30, 7);
+        let (run_pre, report_pre) = run(Strategy::Pretrained, &mut pre, &base.scenario, 30, 7);
         let mut pil = base.model.clone_model();
-        let (run_pil, _) = run_pilote(&mut pil, &base.scenario, 30, 7);
+        let (run_pil, report_pil) = run(Strategy::Pilote, &mut pil, &base.scenario, 30, 7);
+        assert!(report_pre.is_none() && run_pre.epochs == 0);
+        assert_eq!(run_pil.epochs, report_pil.expect("pilote trains").epochs.len());
         for r in [run_pre, run_pil] {
             assert!((0.0..=1.0).contains(&r.accuracy));
             assert!((0.0..=1.0).contains(&r.new_accuracy));

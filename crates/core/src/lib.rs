@@ -32,8 +32,9 @@
 //!   new classes on the edge).
 //! * [`baselines`] — the paper's two comparison points (*pre-trained*,
 //!   *re-trained*).
-//! * [`strategies`] — additional continual-learning strategies for the
-//!   ablation benches (naive fine-tune, replay, GDumb, EWC, LwF).
+//! * [`strategies`] — the one list of continual-learning strategies
+//!   (PILOTE, the two baselines, naive fine-tune, GDumb, EWC, LwF) and
+//!   the one call that applies each, [`strategies::Strategy::update`].
 //! * [`metrics`] — accuracy, confusion matrices, forgetting measures.
 //! * [`projection`] — PCA projection of embedding spaces (Fig. 5) and
 //!   cluster separation scores.
@@ -48,7 +49,6 @@ pub mod baselines;
 pub mod config;
 pub mod embedding;
 pub mod exemplar;
-pub mod knn;
 pub mod metrics;
 pub mod ncm;
 pub mod pairs;
@@ -62,7 +62,6 @@ pub use config::{NetConfig, PiloteConfig};
 pub use embedding::EmbeddingNet;
 pub use exemplar::{select_exemplars, SelectionStrategy};
 pub use metrics::{accuracy, ConfusionMatrix};
-pub use knn::KnnClassifier;
 pub use ncm::NcmClassifier;
 pub use pilote::{Pilote, SupportSet, TrainReport, UpdateOutcome, UpdateStage};
 pub use quality::{

@@ -1,148 +1,146 @@
-//! Additional continual-learning strategies for the A4 ablation bench.
+//! The continual-learning strategies: one list of learners, one update
+//! call.
+//!
+//! Every comparison in the paper (§6.1.3) and in the ablation benches runs
+//! one protocol: start from the same pre-trained model, apply one
+//! [`Strategy::update`], then score old and new classes. The paper's three
+//! models:
+//!
+//! * [`Strategy::Pilote`] — the joint distillation + contrastive update of
+//!   Algorithm 1 ([`Pilote::learn_new_class`]);
+//! * [`Strategy::Retrained`] — contrastive fine-tune on `D₀ ∪ Dₙ` with no
+//!   distillation ([`crate::baselines::retrained_update`]); with its random
+//!   new-class memory this is also the rehearsal family (Rolnick et al.
+//!   2019);
+//! * [`Strategy::Pretrained`] — frozen embedding, new prototypes only
+//!   ([`crate::baselines::pretrained_update`]).
 //!
 //! The paper positions PILOTE against the broader continual-learning
 //! literature (§2.1) without benchmarking it — the cited methods target
-//! cloud-scale models. To make that positioning measurable we implement
-//! edge-scale analogues of the canonical strategy families on the same
-//! backbone:
+//! cloud-scale models. To make that positioning measurable the list adds
+//! edge-scale analogues of the canonical families on the same backbone:
 //!
-//! * [`Strategy::NaiveFinetune`] — fine-tune on new data only (the
-//!   lower bound every CL paper reports);
-//! * [`Strategy::Replay`] — rehearsal with a random exemplar memory
-//!   (Rolnick et al. 2019);
+//! * [`Strategy::NaiveFinetune`] — fine-tune on new data only (the lower
+//!   bound every CL paper reports);
 //! * [`Strategy::GDumb`] — greedy balanced memory + retrain from scratch
 //!   (Prabhu et al. 2020);
 //! * [`Strategy::Ewc`] — elastic weight consolidation, diagonal-Fisher
 //!   quadratic penalty (Kirkpatrick et al. 2017);
 //! * [`Strategy::Lwf`] — learning without forgetting via softened-logit
-//!   distillation on a classification head (Li & Hoiem 2017).
+//!   distillation on a classification head (Li & Hoiem 2017). It is the
+//!   one arm that scores through its own softmax head rather than the NCM
+//!   prototypes; [`LwfClassifier::learn`] returns that head.
 
+use crate::baselines::{pretrained_update, retrained_update};
 use crate::config::PiloteConfig;
 use crate::embedding::EmbeddingNet;
 use crate::exemplar::SelectionStrategy;
 use crate::pairs::{build_epoch_pairs, PairScheme};
-use crate::pilote::{train_embedding, Pilote, TrainOptions};
+use crate::pilote::{train_embedding, Pilote, TrainOptions, TrainReport};
 use pilote_har_data::Dataset;
 use pilote_nn::loss::{contrastive_pair_loss, kd_soft_cross_entropy, softmax_cross_entropy};
 use pilote_nn::sched::{HalvingLr, LrSchedule};
 use pilote_nn::{Adam, Dense, Layer, Mode, Optimizer, Sequential};
 use pilote_tensor::{Rng64, Tensor, TensorError};
-use serde::{Deserialize, Serialize};
 
-/// A continual-learning strategy to compare against PILOTE.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// EWC penalty strength λ.
+const EWC_LAMBDA: f32 = 50.0;
+
+/// LwF distillation temperature T.
+const LWF_TEMPERATURE: f32 = 2.0;
+
+/// A continual-learning strategy: how a pre-trained model learns new
+/// classes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
+    /// PILOTE: joint distillation + contrastive update (Algorithm 1).
+    Pilote,
+    /// Contrastive fine-tune on the support set plus the new data, no
+    /// distillation; new exemplars chosen at random.
+    Retrained,
+    /// Frozen embedding; the new classes only get prototypes.
+    Pretrained,
     /// Contrastive fine-tuning on the new-class data alone.
     NaiveFinetune,
-    /// Rehearsal over a random exemplar memory of `budget` per class.
-    Replay {
-        /// Exemplars kept per class.
-        budget: usize,
-    },
-    /// Greedy balanced memory of `budget` per class; network re-initialised
-    /// and trained on the memory only.
-    GDumb {
-        /// Exemplars kept per class.
-        budget: usize,
-    },
-    /// Diagonal-Fisher elastic weight consolidation with strength `lambda`.
-    Ewc {
-        /// Penalty strength λ.
-        lambda: f32,
-    },
-    /// Learning-without-forgetting on a softmax head with KD temperature
-    /// `temperature`.
-    Lwf {
-        /// Distillation temperature T.
-        temperature: f32,
-    },
+    /// Greedy balanced memory of `new_exemplars` per class; network
+    /// re-initialised and trained on the memory only.
+    GDumb,
+    /// Diagonal-Fisher elastic weight consolidation.
+    Ewc,
+    /// Learning-without-forgetting on a softmax head.
+    Lwf,
 }
 
 impl Strategy {
+    /// Every strategy, in report order.
+    pub const ALL: [Strategy; 7] = [
+        Strategy::Pilote,
+        Strategy::Retrained,
+        Strategy::Pretrained,
+        Strategy::NaiveFinetune,
+        Strategy::GDumb,
+        Strategy::Ewc,
+        Strategy::Lwf,
+    ];
+
     /// Short name for reports.
-    pub fn name(&self) -> &'static str {
+    pub fn name(self) -> &'static str {
         match self {
+            Strategy::Pilote => "pilote",
+            Strategy::Retrained => "retrained",
+            Strategy::Pretrained => "pretrained",
             Strategy::NaiveFinetune => "naive-finetune",
-            Strategy::Replay { .. } => "replay",
-            Strategy::GDumb { .. } => "gdumb",
-            Strategy::Ewc { .. } => "ewc",
-            Strategy::Lwf { .. } => "lwf",
+            Strategy::GDumb => "gdumb",
+            Strategy::Ewc => "ewc",
+            Strategy::Lwf => "lwf",
+        }
+    }
+
+    /// Applies this strategy to `model`: it learns the classes of
+    /// `new_data`. PILOTE, re-trained and pre-trained keep at most
+    /// `new_exemplars` of each new class in the support set; naive
+    /// fine-tune, EWC and LwF keep every new sample; GDumb's memory keeps
+    /// `new_exemplars` of every class. Returns the training report of the
+    /// arms that train through [`train_embedding`] or [`Pilote::pretrain`].
+    pub fn update(
+        self,
+        model: &mut Pilote,
+        new_data: &Dataset,
+        new_exemplars: usize,
+    ) -> Result<Option<TrainReport>, TensorError> {
+        match self {
+            Strategy::Pilote => model.learn_new_class(new_data, new_exemplars).map(Some),
+            Strategy::Retrained => retrained_update(model, new_data, new_exemplars).map(Some),
+            Strategy::Pretrained => {
+                pretrained_update(model, new_data, new_exemplars).map(|()| None)
+            }
+            Strategy::NaiveFinetune => naive_finetune(model, new_data).map(Some),
+            Strategy::GDumb => {
+                let (retrained, report) = gdumb(model, new_data, new_exemplars)?;
+                *model = retrained;
+                Ok(Some(report))
+            }
+            Strategy::Ewc => ewc_update(model, new_data).map(|()| None),
+            Strategy::Lwf => LwfClassifier::learn(model, new_data).map(|_| None),
         }
     }
 }
 
-/// Result of running one strategy on one incremental scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StrategyOutcome {
-    /// Strategy name.
-    pub strategy: String,
-    /// Accuracy over all classes of the test set.
-    pub accuracy: f32,
-    /// Accuracy restricted to the old classes (forgetting indicator).
-    pub old_accuracy: f32,
-    /// Accuracy restricted to the new class.
-    pub new_accuracy: f32,
-}
-
-/// Runs `strategy` from the pre-trained `base` model on an incremental
-/// scenario: `new_data` arrives, `test` spans all classes, `new_label`
-/// identifies the incoming class.
-pub fn run_strategy(
-    strategy: Strategy,
-    base: &Pilote,
-    new_data: &Dataset,
-    test: &Dataset,
-    new_label: usize,
-) -> Result<StrategyOutcome, TensorError> {
-    let old_labels: Vec<usize> =
-        base.classifier().labels().iter().copied().filter(|&l| l != new_label).collect();
-    let old_test = test.filter_classes(&old_labels)?;
-    let new_test = test.filter_classes(&[new_label])?;
-
-    let (accuracy, old_accuracy, new_accuracy) = match strategy {
-        Strategy::NaiveFinetune => {
-            let mut m = base.clone_model();
-            naive_finetune(&mut m, new_data)?;
-            (m.accuracy(test)?, m.accuracy(&old_test)?, m.accuracy(&new_test)?)
-        }
-        Strategy::Replay { budget } => {
-            let mut m = base.clone_model();
-            // Random memory instead of herding, then retrain contrastively.
-            crate::baselines::retrained_update(&mut m, new_data, budget)?;
-            (m.accuracy(test)?, m.accuracy(&old_test)?, m.accuracy(&new_test)?)
-        }
-        Strategy::GDumb { budget } => {
-            let mut m = gdumb(base, new_data, budget)?;
-            (m.accuracy(test)?, m.accuracy(&old_test)?, m.accuracy(&new_test)?)
-        }
-        Strategy::Ewc { lambda } => {
-            let mut m = base.clone_model();
-            ewc_update(&mut m, new_data, lambda)?;
-            (m.accuracy(test)?, m.accuracy(&old_test)?, m.accuracy(&new_test)?)
-        }
-        Strategy::Lwf { temperature } => {
-            let mut clf = LwfClassifier::from_pretrained(base)?;
-            clf.learn_new_class(new_data, new_label, temperature)?;
-            (
-                clf.accuracy(test)?,
-                clf.accuracy(&old_test)?,
-                clf.accuracy(&new_test)?,
-            )
-        }
-    };
-    Ok(StrategyOutcome {
-        strategy: strategy.name().to_string(),
-        accuracy,
-        old_accuracy,
-        new_accuracy,
-    })
+/// Stores every new-class sample as an exemplar and refreshes prototypes
+/// (the arms that keep no separate exemplar budget).
+fn store_new_classes(model: &mut Pilote, new_data: &Dataset) -> Result<(), TensorError> {
+    for label in new_data.classes() {
+        let class = new_data.filter_classes(&[label])?;
+        model.support_mut().put_class(label, class.features);
+    }
+    model.refresh_prototypes()
 }
 
 /// Contrastive fine-tuning on the new data alone: with a single incoming
 /// class every sampled pair is similar, so the objective degenerates to
 /// pulling the new class together with nothing holding the old geometry —
 /// the canonical catastrophic-forgetting demonstration.
-fn naive_finetune(model: &mut Pilote, new_data: &Dataset) -> Result<(), TensorError> {
+fn naive_finetune(model: &mut Pilote, new_data: &Dataset) -> Result<TrainReport, TensorError> {
     let cfg = model.config().clone();
     let mut rng = model.fork_rng();
     let is_new = vec![true; new_data.len()];
@@ -153,17 +151,18 @@ fn naive_finetune(model: &mut Pilote, new_data: &Dataset) -> Result<(), TensorEr
         scheme: PairScheme::Full,
         freeze_bn: true,
     };
-    train_embedding(model.net_mut(), new_data, &is_new, &cfg, opts, &mut rng)?;
-    for label in new_data.classes() {
-        let class = new_data.filter_classes(&[label])?;
-        model.support_mut().put_class(label, class.features);
-    }
-    model.refresh_prototypes()
+    let report = train_embedding(model.net_mut(), new_data, &is_new, &cfg, opts, &mut rng)?;
+    store_new_classes(model, new_data)?;
+    Ok(report)
 }
 
 /// GDumb: balanced greedy memory, then train a re-initialised network on
 /// the memory only.
-fn gdumb(base: &Pilote, new_data: &Dataset, budget: usize) -> Result<Pilote, TensorError> {
+fn gdumb(
+    base: &Pilote,
+    new_data: &Dataset,
+    budget: usize,
+) -> Result<(Pilote, TrainReport), TensorError> {
     let cfg = base.config().clone();
     let mut rng = Rng64::new(cfg.seed ^ 0x9d0b);
 
@@ -180,18 +179,17 @@ fn gdumb(base: &Pilote, new_data: &Dataset, budget: usize) -> Result<Pilote, Ten
     memory = memory.select(&kept_rows)?;
 
     // Retrain from scratch on the memory.
-    let (model, _) = Pilote::pretrain(
+    Pilote::pretrain(
         PiloteConfig { seed: cfg.seed ^ 0x6d, ..cfg },
         &memory,
         budget,
         SelectionStrategy::Random,
-    )?;
-    Ok(model)
+    )
 }
 
 /// EWC: fine-tune contrastively on the new data with a diagonal-Fisher
 /// quadratic anchor `λ·Σ F_i (θ_i − θ*_i)²` estimated on old-class pairs.
-fn ewc_update(model: &mut Pilote, new_data: &Dataset, lambda: f32) -> Result<(), TensorError> {
+fn ewc_update(model: &mut Pilote, new_data: &Dataset) -> Result<(), TensorError> {
     let cfg = model.config().clone();
     let mut rng = model.fork_rng();
     let d0 = model.support().to_dataset()?;
@@ -256,23 +254,18 @@ fn ewc_update(model: &mut Pilote, new_data: &Dataset, lambda: f32) -> Result<(),
                     for ((g, &p), (&fi, &ai)) in
                         grad.as_mut_slice().iter_mut().zip(param.as_slice()).zip(f.iter().zip(a))
                     {
-                        *g += 2.0 * lambda * fi * (p - ai);
+                        *g += 2.0 * EWC_LAMBDA * fi * (p - ai);
                     }
                 }
             }
             optimizer.step(net.layers_mut(), lr);
         }
     }
-
-    for label in new_data.classes() {
-        let class = new_data.filter_classes(&[label])?;
-        model.support_mut().put_class(label, class.features);
-    }
-    model.refresh_prototypes()
+    store_new_classes(model, new_data)
 }
 
 /// Learning-without-forgetting classifier: a softmax head on the embedding
-/// backbone, updated with hard cross-entropy on the new class plus
+/// backbone, updated with hard cross-entropy on the new classes plus
 /// temperature-softened distillation against the pre-update logits.
 pub struct LwfClassifier {
     backbone: EmbeddingNet,
@@ -283,15 +276,28 @@ pub struct LwfClassifier {
 }
 
 impl LwfClassifier {
+    /// LwF update of `model`: fits a softmax head on the support set, then
+    /// learns the classes of `new_data` with CE + KD. The trained backbone
+    /// replaces the model's embedding network and the new samples enter its
+    /// support set, so `model` serves NCM on the LwF embedding; the
+    /// returned classifier scores through the head.
+    pub fn learn(model: &mut Pilote, new_data: &Dataset) -> Result<LwfClassifier, TensorError> {
+        let mut clf = LwfClassifier::from_pretrained(model)?;
+        clf.learn_new_classes(new_data)?;
+        *model.net_mut() = clf.backbone.clone_frozen();
+        store_new_classes(model, new_data)?;
+        Ok(clf)
+    }
+
     /// Builds the classifier from a pre-trained PILOTE model: the backbone
     /// is copied and a linear head is fitted on the support set with plain
     /// cross-entropy.
-    pub fn from_pretrained(base: &Pilote) -> Result<LwfClassifier, TensorError> {
+    fn from_pretrained(base: &mut Pilote) -> Result<LwfClassifier, TensorError> {
         let cfg = base.config().clone();
         let mut rng = Rng64::new(cfg.seed ^ 0x17f);
         let labels = base.classifier().labels().to_vec();
         let mut this = LwfClassifier {
-            backbone: base.clone_model().into_net(),
+            backbone: base.net_mut().clone_frozen(),
             head: Sequential::new()
                 .push(Dense::new(cfg.net.embedding_dim, labels.len(), &mut rng)),
             labels,
@@ -299,7 +305,7 @@ impl LwfClassifier {
             rng,
         };
         let d0 = base.support().to_dataset()?;
-        this.fit_head(&d0, None, 1.0)?;
+        this.fit_head(&d0, None)?;
         Ok(this)
     }
 
@@ -308,17 +314,16 @@ impl LwfClassifier {
     }
 
     /// Trains the head (and lightly the backbone) with CE on `data`,
-    /// optionally adding KD against `teacher` logits at `temperature`.
+    /// optionally adding KD against the `teacher` logits of the first
+    /// `old_k` classes at [`LWF_TEMPERATURE`].
     fn fit_head(
         &mut self,
         data: &Dataset,
-        teacher: Option<(&mut EmbeddingNet, &mut Sequential, usize)>,
-        _scale: f32,
+        mut teacher: Option<(&mut EmbeddingNet, &mut Sequential, usize)>,
     ) -> Result<(), TensorError> {
         let schedule = HalvingLr { initial: self.cfg.initial_lr, min_lr: 1e-6 };
         let mut optim_head = Adam::new();
         let mut optim_backbone = Adam::new();
-        let mut teacher = teacher;
         for epoch in 0..self.cfg.max_epochs {
             let lr = schedule.lr_at(epoch);
             let batches =
@@ -340,7 +345,7 @@ impl LwfClassifier {
                     // KD on the old-class logit slice only.
                     let old_cols: Vec<usize> = (0..*old_k).collect();
                     let s_old = select_cols(&logits, &old_cols)?;
-                    let (_, kd_grad) = kd_soft_cross_entropy(&s_old, &t_logits, 2.0)?;
+                    let (_, kd_grad) = kd_soft_cross_entropy(&s_old, &t_logits, LWF_TEMPERATURE)?;
                     scatter_cols_add(&mut grad_logits, &kd_grad, &old_cols)?;
                 }
                 let grad_emb = self.head.backward(&grad_logits);
@@ -352,47 +357,36 @@ impl LwfClassifier {
         Ok(())
     }
 
-    /// LwF incremental step: extend the head with one output, then train
-    /// on the new data with CE (new class) + KD (old logits).
-    pub fn learn_new_class(
-        &mut self,
-        new_data: &Dataset,
-        new_label: usize,
-        temperature: f32,
-    ) -> Result<(), TensorError> {
-        assert!(temperature > 0.0, "temperature must be positive");
+    /// LwF incremental step: extend the head with one output per unseen
+    /// class of `new_data`, then train on it with CE (all its classes) +
+    /// KD (old logits).
+    fn learn_new_classes(&mut self, new_data: &Dataset) -> Result<(), TensorError> {
         let old_k = self.labels.len();
         let mut teacher_backbone = self.backbone.clone_frozen();
         let mut teacher_head = self.head.clone();
+        let unseen: Vec<usize> =
+            new_data.classes().into_iter().filter(|&l| self.label_index(l).is_none()).collect();
+        let width = old_k + unseen.len();
 
         // Extend the head: copy old weight columns into a wider layer.
         let emb_dim = self.cfg.net.embedding_dim;
-        let mut new_head =
-            Sequential::new().push(Dense::new(emb_dim, old_k + 1, &mut self.rng));
+        let mut new_head = Sequential::new().push(Dense::new(emb_dim, width, &mut self.rng));
         {
             let old_params = self.head.state_dict();
-            let pairs = new_head.params_and_grads();
-            // params: [weight [emb, k+1], bias [k+1]]
-            let (weight, _) = &pairs[0];
-            let mut w = (*weight).clone();
-            for i in 0..emb_dim {
-                for j in 0..old_k {
-                    let v = old_params[0].as_slice()[i * old_k + j];
-                    w.as_mut_slice()[i * (old_k + 1) + j] = v;
-                }
-            }
-            drop(pairs);
+            // params: [weight [emb, width], bias [width]]
             let mut pairs = new_head.params_and_grads();
-            pairs[0].0.as_mut_slice().copy_from_slice(w.as_slice());
-            for j in 0..old_k {
-                pairs[1].0.as_mut_slice()[j] = old_params[1].as_slice()[j];
+            let w = pairs[0].0.as_mut_slice();
+            for i in 0..emb_dim {
+                w[i * width..i * width + old_k]
+                    .copy_from_slice(&old_params[0].as_slice()[i * old_k..(i + 1) * old_k]);
             }
+            pairs[1].0.as_mut_slice()[..old_k].copy_from_slice(old_params[1].as_slice());
         }
         self.head = new_head;
-        self.labels.push(new_label);
+        self.labels.extend(unseen);
 
         // Train with CE + KD. `fit_head` handles the KD slice.
-        self.fit_head(new_data, Some((&mut teacher_backbone, &mut teacher_head, old_k)), temperature)
+        self.fit_head(new_data, Some((&mut teacher_backbone, &mut teacher_head, old_k)))
     }
 
     /// Softmax-argmax prediction.
@@ -437,16 +431,6 @@ fn scatter_cols_add(dst: &mut Tensor, src: &Tensor, cols: &[usize]) -> Result<()
     Ok(())
 }
 
-// Helper: extract the embedding net out of a cloned Pilote.
-impl Pilote {
-    /// Consumes a (cloned) model, keeping only its embedding network —
-    /// used by strategies that replace the NCM classifier with their own
-    /// head.
-    pub fn into_net(mut self) -> EmbeddingNet {
-        self.net_mut().clone_frozen()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,50 +460,67 @@ mod tests {
         (model, new, test, Activity::Run.label())
     }
 
+    /// Accuracy over the whole test set, the old classes and the new class.
+    fn scores(model: &mut Pilote, test: &Dataset, new_label: usize) -> (f32, f32, f32) {
+        let old: Vec<usize> = test.classes().into_iter().filter(|&l| l != new_label).collect();
+        (
+            model.accuracy(test).unwrap(),
+            model.accuracy(&test.filter_classes(&old).unwrap()).unwrap(),
+            model.accuracy(&test.filter_classes(&[new_label]).unwrap()).unwrap(),
+        )
+    }
+
     #[test]
     fn all_strategies_produce_outcomes() {
         let (base, new, test, new_label) = scenario();
-        for strategy in [
-            Strategy::NaiveFinetune,
-            Strategy::Replay { budget: 15 },
-            Strategy::GDumb { budget: 15 },
-            Strategy::Ewc { lambda: 10.0 },
-            Strategy::Lwf { temperature: 2.0 },
-        ] {
-            let out = run_strategy(strategy, &base, &new, &test, new_label).unwrap();
+        for strategy in Strategy::ALL {
+            let mut m = base.clone_model();
+            strategy.update(&mut m, &new, 15).unwrap();
             assert!(
-                (0.0..=1.0).contains(&out.accuracy),
-                "{}: accuracy {}",
-                out.strategy,
-                out.accuracy
+                m.classifier().labels().contains(&new_label),
+                "{}: new class learned",
+                strategy.name()
             );
-            assert!((0.0..=1.0).contains(&out.old_accuracy));
-            assert!((0.0..=1.0).contains(&out.new_accuracy));
+            let (acc, old, new_acc) = scores(&mut m, &test, new_label);
+            for v in [acc, old, new_acc] {
+                assert!((0.0..=1.0).contains(&v), "{}: accuracy {v}", strategy.name());
+            }
         }
     }
 
     #[test]
-    fn replay_retains_old_better_than_naive() {
+    fn lwf_head_scores_every_class() {
         let (base, new, test, new_label) = scenario();
-        let naive =
-            run_strategy(Strategy::NaiveFinetune, &base, &new, &test, new_label).unwrap();
-        let replay =
-            run_strategy(Strategy::Replay { budget: 15 }, &base, &new, &test, new_label).unwrap();
+        let mut m = base.clone_model();
+        let mut head = LwfClassifier::learn(&mut m, &new).unwrap();
+        let acc = head.accuracy(&test).unwrap();
+        assert!((0.0..=1.0).contains(&acc), "lwf head accuracy {acc}");
+        assert_eq!(head.labels.last(), Some(&new_label));
+        assert_eq!(head.labels.len(), m.classifier().n_classes());
+    }
+
+    #[test]
+    fn retrained_retains_old_better_than_naive() {
+        let (base, new, test, new_label) = scenario();
+        let mut naive = base.clone_model();
+        Strategy::NaiveFinetune.update(&mut naive, &new, 15).unwrap();
+        let mut retrained = base.clone_model();
+        Strategy::Retrained.update(&mut retrained, &new, 15).unwrap();
+        let (_, naive_old, _) = scores(&mut naive, &test, new_label);
+        let (_, retrained_old, _) = scores(&mut retrained, &test, new_label);
         assert!(
-            replay.old_accuracy >= naive.old_accuracy - 0.05,
-            "replay {} vs naive {}",
-            replay.old_accuracy,
-            naive.old_accuracy
+            retrained_old >= naive_old - 0.05,
+            "retrained {retrained_old} vs naive {naive_old}"
         );
     }
 
     #[test]
     fn strategy_names_are_stable() {
-        assert_eq!(Strategy::NaiveFinetune.name(), "naive-finetune");
-        assert_eq!(Strategy::Replay { budget: 1 }.name(), "replay");
-        assert_eq!(Strategy::GDumb { budget: 1 }.name(), "gdumb");
-        assert_eq!(Strategy::Ewc { lambda: 1.0 }.name(), "ewc");
-        assert_eq!(Strategy::Lwf { temperature: 1.0 }.name(), "lwf");
+        let names: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(
+            names,
+            ["pilote", "retrained", "pretrained", "naive-finetune", "gdumb", "ewc", "lwf"]
+        );
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! A compact neural-network stack with hand-derived analytic backprop,
 //! built on [`pilote_tensor`]. It provides exactly the mathematical objects
-//! the PILOTE paper (EDBT 2023) instantiates in PyTorch:
+//! the PILOTE paper (EDBT 2023) instantiates in PyTorch, plus what the
+//! continual-learning strategies of `pilote_core::strategies` train with —
+//! nothing else:
 //!
 //! * **Layers** ([`layer`]): [`layer::Dense`], [`layer::BatchNorm1d`],
 //!   [`layer::ReLU`], [`layer::Dropout`], composed by
@@ -13,11 +15,11 @@
 //!   paper's `m² − d²` form and the classic Hadsell `(m − d)²` form), the
 //!   embedding distillation loss of Algorithm 1 line 11, plus MSE, softmax
 //!   cross-entropy and temperature-scaled knowledge distillation for the
-//!   classifier-based continual-learning baselines.
+//!   LwF strategy's softmax head.
 //! * **Optimizers** ([`optim`]): SGD, SGD-with-momentum and Adam (the
 //!   paper trains with Adam).
-//! * **Schedulers** ([`sched`]): including the paper's "start at 0.01 and
-//!   halve every epoch" rule.
+//! * **Schedulers** ([`sched`]): the paper's "start at 0.01 and halve
+//!   every epoch" rule and the step decay cloud pre-training uses.
 //! * **Training utilities** ([`train`]): mini-batch iteration, the paper's
 //!   early-stopping rule (validation-loss change below `1e-4` for five
 //!   consecutive epochs), and per-epoch history records.
@@ -33,18 +35,13 @@ pub mod gradcheck;
 pub mod layer;
 pub mod loss;
 pub mod optim;
-pub mod optim_extra;
 pub mod persist;
 pub mod sched;
 pub mod train;
 
-pub use layer::{
-    BatchNorm1d, Dense, Dropout, Layer, LayerNorm, LeakyReLU, Mode, ReLU, Sequential, Sigmoid,
-    Tanh,
-};
+pub use layer::{BatchNorm1d, Dense, Dropout, Layer, Mode, ReLU, Sequential};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use optim_extra::{AdamW, RmsProp};
 pub use delta::{CheckpointDelta, DeltaError};
 pub use persist::{Checkpoint, CheckpointError};
-pub use sched::{ConstantLr, HalvingLr, LrSchedule, StepLr};
+pub use sched::{HalvingLr, LrSchedule, StepLr};
 pub use train::{grad_norm, grads_finite, observe_epoch, params_finite, EarlyStopper, EpochStats};

@@ -41,6 +41,14 @@
 #  15. the index gate: `repro index` over the committed results/ BENCH
 #      files must parse every one, resolve every headline metric, and
 #      reproduce the committed BENCH_index.json byte-for-byte
+#  16. the perfbench build: the stand-alone benchmark package sits outside
+#      the workspace, so it is built and its unit tests run here — a
+#      public-API change that breaks the benchmark fails the gate
+#
+# The fleet, quality, policy, kernels, scaling, wire and scenarios gates
+# share one byte-identity recipe, `rerun_cmp`: run a `repro` sub-command
+# twice plus once at PILOTE_THREADS=4 and `cmp` each named output file
+# across the three runs.
 #
 # Usage: ./scripts/ci.sh   (from anywhere; cd's to the repo root)
 
@@ -48,6 +56,26 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 step() { printf '\n==> %s\n' "$*"; }
+
+repro() { cargo run --release -q -p pilote-bench --bin repro -- "$@"; }
+
+# rerun_cmp NAME ARGS... -- FILES...
+# Runs `repro ARGS` into $obs_dir/NAME/{1,2} and, at PILOTE_THREADS=4, into
+# $obs_dir/NAME/4, then byte-compares each FILE of run 1 against runs 2
+# and 4. Later assertions read run 1 from $obs_dir/NAME/1.
+rerun_cmp() {
+  local dir="$obs_dir/$1" args=()
+  shift
+  while [ "$1" != "--" ]; do args+=("$1"); shift; done
+  shift
+  repro "${args[@]}" --out "$dir/1"
+  repro "${args[@]}" --out "$dir/2"
+  PILOTE_THREADS=4 repro "${args[@]}" --out "$dir/4"
+  for f in "$@"; do
+    cmp "$dir/1/$f" "$dir/2/$f"
+    cmp "$dir/1/$f" "$dir/4/$f"
+  done
+}
 
 step "cargo build --workspace --release"
 cargo build --workspace --release
@@ -87,44 +115,25 @@ fi
 step "obs: repro obs byte-identical at PILOTE_THREADS 1 vs 4"
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "$obs_dir"' EXIT
-PILOTE_THREADS=1 cargo run --release -q -p pilote-bench --bin repro -- \
-  obs --quick --out "$obs_dir/t1"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  obs --quick --out "$obs_dir/t4"
+PILOTE_THREADS=1 repro obs --quick --out "$obs_dir/t1"
+PILOTE_THREADS=4 repro obs --quick --out "$obs_dir/t4"
 cmp "$obs_dir/t1/BENCH_obs.json" "$obs_dir/t4/BENCH_obs.json"
 
 step "obs: PILOTE_OBS=0 kill-switch run"
-PILOTE_OBS=0 cargo run --release -q -p pilote-bench --bin repro -- \
-  obs --quick --out "$obs_dir/off"
+PILOTE_OBS=0 repro obs --quick --out "$obs_dir/off"
 
 # --- fleet gate (docs/FLEET.md) -------------------------------------------
 
 step "fleet: repro fleet byte-identical across runs and at PILOTE_THREADS=4"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  fleet --quick --out "$obs_dir/f1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  fleet --quick --out "$obs_dir/f2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  fleet --quick --out "$obs_dir/f4"
-cmp "$obs_dir/f1/BENCH_fleet.json" "$obs_dir/f2/BENCH_fleet.json"
-cmp "$obs_dir/f1/BENCH_fleet.json" "$obs_dir/f4/BENCH_fleet.json"
+rerun_cmp fleet fleet --quick -- BENCH_fleet.json
 
 # --- quality gate (docs/QUALITY.md) ---------------------------------------
 
 step "quality: repro quality byte-identical across runs and at PILOTE_THREADS=4"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  quality --quick --out "$obs_dir/q1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  quality --quick --out "$obs_dir/q2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  quality --quick --out "$obs_dir/q4"
-cmp "$obs_dir/q1/BENCH_quality.json" "$obs_dir/q2/BENCH_quality.json"
-cmp "$obs_dir/q1/BENCH_quality.json" "$obs_dir/q4/BENCH_quality.json"
-cmp "$obs_dir/q1/trace_quality.json" "$obs_dir/q2/trace_quality.json"
-cmp "$obs_dir/q1/trace_quality.json" "$obs_dir/q4/trace_quality.json"
+rerun_cmp quality quality --quick -- BENCH_quality.json trace_quality.json
 
 step "quality: trace integrity + A/B alert split"
-python3 - "$obs_dir/q1" << 'EOF'
+python3 - "$obs_dir/quality/1" << 'EOF'
 import json, sys
 out = sys.argv[1]
 trace = json.load(open(f"{out}/trace_quality.json"))
@@ -147,17 +156,10 @@ EOF
 # --- policy gate (docs/POLICY.md) -----------------------------------------
 
 step "policy: repro policy byte-identical across runs and at PILOTE_THREADS=4"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  policy --quick --out "$obs_dir/p1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  policy --quick --out "$obs_dir/p2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  policy --quick --out "$obs_dir/p4"
-cmp "$obs_dir/p1/BENCH_policy.json" "$obs_dir/p2/BENCH_policy.json"
-cmp "$obs_dir/p1/BENCH_policy.json" "$obs_dir/p4/BENCH_policy.json"
+rerun_cmp policy policy --quick -- BENCH_policy.json
 
 step "policy: closed-loop A/B — canary halt, repair ladder, fewer alerts"
-python3 - "$obs_dir/p1" << 'EOF'
+python3 - "$obs_dir/policy/1" << 'EOF'
 import json, sys
 out = sys.argv[1]
 bench = json.load(open(f"{out}/BENCH_policy.json"))
@@ -185,17 +187,10 @@ EOF
 # --- kernels gate (docs/KERNELS.md) ---------------------------------------
 
 step "kernels: repro kernels check file byte-identical across runs and at PILOTE_THREADS=4"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  kernels --out "$obs_dir/k1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  kernels --out "$obs_dir/k2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  kernels --out "$obs_dir/k4"
-cmp "$obs_dir/k1/BENCH_kernels_check.json" "$obs_dir/k2/BENCH_kernels_check.json"
-cmp "$obs_dir/k1/BENCH_kernels_check.json" "$obs_dir/k4/BENCH_kernels_check.json"
+rerun_cmp kernels kernels -- BENCH_kernels_check.json
 
 step "kernels: oversubscription flagged honestly; packed GEMM never loses to the legacy loop"
-python3 - "$obs_dir/k1" << 'EOF'
+python3 - "$obs_dir/kernels/1" << 'EOF'
 import json, sys
 out = sys.argv[1]
 bench = json.load(open(f"{out}/BENCH_kernels.json"))
@@ -267,29 +262,15 @@ EOF
 # --- scaling gate (docs/SCALING.md) ---------------------------------------
 
 step "scaling: reduced-roster fleet --scale large byte-identical across runs and threads"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  fleet --scale large --devices 96 --out "$obs_dir/l1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  fleet --scale large --devices 96 --out "$obs_dir/l2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  fleet --scale large --devices 96 --out "$obs_dir/l4"
-cmp "$obs_dir/l1/BENCH_fleet_large.json" "$obs_dir/l2/BENCH_fleet_large.json"
-cmp "$obs_dir/l1/BENCH_fleet_large.json" "$obs_dir/l4/BENCH_fleet_large.json"
+rerun_cmp scaling fleet --scale large --devices 96 -- BENCH_fleet_large.json
 
 # --- wire gate (docs/WIRE.md) ---------------------------------------------
 
 step "wire: repro wire byte-identical across runs and at PILOTE_THREADS=4"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  wire --quick --out "$obs_dir/w1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  wire --quick --out "$obs_dir/w2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  wire --quick --out "$obs_dir/w4"
-cmp "$obs_dir/w1/BENCH_wire.json" "$obs_dir/w2/BENCH_wire.json"
-cmp "$obs_dir/w1/BENCH_wire.json" "$obs_dir/w4/BENCH_wire.json"
+rerun_cmp wire wire --quick -- BENCH_wire.json
 
 step "wire: i8-delta frontier — >=4x under the JSON baseline, <1 point accuracy loss"
-python3 - "$obs_dir/w1" << 'EOF'
+python3 - "$obs_dir/wire/1" << 'EOF'
 import json, sys
 out = sys.argv[1]
 bench = json.load(open(f"{out}/BENCH_wire.json"))
@@ -315,17 +296,10 @@ EOF
 # --- scenarios gate (docs/METRICS.md) --------------------------------------
 
 step "scenarios: repro scenarios byte-identical across runs and at PILOTE_THREADS=4"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  scenarios --quick --out "$obs_dir/s1"
-cargo run --release -q -p pilote-bench --bin repro -- \
-  scenarios --quick --out "$obs_dir/s2"
-PILOTE_THREADS=4 cargo run --release -q -p pilote-bench --bin repro -- \
-  scenarios --quick --out "$obs_dir/s4"
-cmp "$obs_dir/s1/BENCH_scenarios.json" "$obs_dir/s2/BENCH_scenarios.json"
-cmp "$obs_dir/s1/BENCH_scenarios.json" "$obs_dir/s4/BENCH_scenarios.json"
+rerun_cmp scenarios scenarios --quick -- BENCH_scenarios.json
 
 step "scenarios: matrices cover the schedule; PILOTE forgets less than re-trained"
-python3 - "$obs_dir/s1" << 'EOF'
+python3 - "$obs_dir/scenarios/1" << 'EOF'
 import json, sys
 out = sys.argv[1]
 bench = json.load(open(f"{out}/BENCH_scenarios.json"))
@@ -361,7 +335,12 @@ for f in results/BENCH_*.json; do
   [ "$(basename "$f")" = "BENCH_index.json" ] && continue
   cp "$f" "$idx_dir/"
 done
-cargo run --release -q -p pilote-bench --bin repro -- index --out "$idx_dir"
+repro index --out "$idx_dir"
 cmp "$idx_dir/BENCH_index.json" results/BENCH_index.json
+
+# --- perfbench build -------------------------------------------------------
+
+step "perfbench: build the stand-alone benchmark package and run its unit tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 printf '\nci.sh: all gates passed\n'

@@ -61,7 +61,7 @@ pub use pilote_tensor as tensor;
 pub mod prelude {
     pub use pilote_core::baselines::{pretrained_update, retrained_update};
     pub use pilote_core::pairs::PairScheme;
-    pub use pilote_core::strategies::{run_strategy, Strategy};
+    pub use pilote_core::strategies::Strategy;
     pub use pilote_core::{
         accuracy, select_exemplars, AccuracyMatrix, ConfusionMatrix, EmbeddingNet, NcmClassifier,
         NetConfig, AdaptiveThresholds, Pilote, PiloteConfig, QualityMonitor, QualityReport,
