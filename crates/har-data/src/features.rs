@@ -14,10 +14,10 @@
 //! | 74..80    | window-global: total energy, mean |derivative|, min, max,   |
 //! |           | range, std of per-channel energies                          |
 //!
-//! Extraction is a single pass over the window per statistic — linear time,
-//! matching the paper's edge-latency argument.
+//! Extraction is two passes over the window's contiguous rows — linear
+//! time, matching the paper's edge-latency argument.
 
-use crate::sensors::{Triad, CHANNELS};
+use crate::sensors::{Triad, CHANNELS, TRIADS};
 use crate::simulate::RawDataset;
 use pilote_tensor::{parallel, Tensor, TensorError};
 
@@ -32,6 +32,13 @@ const TRIAD_BLOCK: usize = 44;
 const GLOBAL_BLOCK: usize = 74;
 
 /// Extracts the 80-dimensional feature vector from a `[time, 22]` window.
+///
+/// Two passes over the window's contiguous rows: the first accumulates
+/// every sum the means need, the second every squared deviation and the
+/// zero crossings. Each f64 accumulator adds its terms in ascending time
+/// order (channel order within a row for the window-global sums), so a
+/// feature's value depends only on the window, never on how the passes
+/// are grouped.
 pub fn extract(window: &Tensor) -> Result<Tensor, TensorError> {
     if window.rank() != 2 || window.cols() != CHANNELS {
         return Err(TensorError::ShapeMismatch {
@@ -45,104 +52,103 @@ pub fn extract(window: &Tensor) -> Result<Tensor, TensorError> {
         return Err(TensorError::Empty { op: "features::extract (need ≥ 2 samples)" });
     }
     let nf = n as f64;
+    let jn = (n - 1) as f64;
+    let triads = Triad::ALL.map(Triad::channels);
     let mut out = vec![0.0f32; FEATURE_DIM];
 
-    // ---- per-channel mean/variance -------------------------------------
+    // ---- pass 1: sums ------------------------------------------------------
     let mut ch_mean = [0.0f64; CHANNELS];
-    let mut ch_var = [0.0f64; CHANNELS];
-    for t in 0..n {
-        for (ch, m) in ch_mean.iter_mut().enumerate() {
-            *m += window.at(t, ch) as f64;
-        }
-    }
-    for m in &mut ch_mean {
-        *m /= nf;
-    }
-    for t in 0..n {
-        for (ch, v) in ch_var.iter_mut().enumerate() {
-            let d = window.at(t, ch) as f64 - ch_mean[ch];
-            *v += d * d;
-        }
-    }
-    for v in &mut ch_var {
-        *v /= nf;
-    }
-    for ch in 0..CHANNELS {
-        out[CHANNEL_BLOCK + 2 * ch] = ch_mean[ch] as f32;
-        out[CHANNEL_BLOCK + 2 * ch + 1] = ch_var[ch] as f32;
-    }
-
-    // ---- per-triad statistics -------------------------------------------
-    for (ti, triad) in Triad::ALL.iter().enumerate() {
-        let [cx, cy, cz] = triad.channels();
-        let mut mags = Vec::with_capacity(n);
-        for t in 0..n {
-            let (x, y, z) = (window.at(t, cx), window.at(t, cy), window.at(t, cz));
-            mags.push((x * x + y * y + z * z).sqrt());
-        }
-        let mag_mean = mags.iter().map(|&v| v as f64).sum::<f64>() / nf;
-        let mag_var =
-            mags.iter().map(|&v| (v as f64 - mag_mean).powi(2)).sum::<f64>() / nf;
-
-        // Jerk: per-sample derivative magnitude of the 3-D signal.
-        let mut jerks = Vec::with_capacity(n - 1);
-        for t in 1..n {
-            let dx = window.at(t, cx) - window.at(t - 1, cx);
-            let dy = window.at(t, cy) - window.at(t - 1, cy);
-            let dz = window.at(t, cz) - window.at(t - 1, cz);
-            jerks.push((dx * dx + dy * dy + dz * dz).sqrt());
-        }
-        let jn = jerks.len() as f64;
-        let jerk_mean = jerks.iter().map(|&v| v as f64).sum::<f64>() / jn;
-        let jerk_var =
-            jerks.iter().map(|&v| (v as f64 - jerk_mean).powi(2)).sum::<f64>() / jn;
-
-        // Mean squared magnitude (signal energy).
-        let energy = mags.iter().map(|&v| (v as f64).powi(2)).sum::<f64>() / nf;
-
-        // Zero-crossing rate of the mean-removed magnitude — a cheap
-        // dominant-frequency proxy (≈ 2·f/rate for a sinusoid).
-        let mut crossings = 0usize;
-        let mut prev = mags[0] as f64 - mag_mean;
-        for &m in &mags[1..] {
-            let cur = m as f64 - mag_mean;
-            if prev.signum() != cur.signum() && cur != 0.0 {
-                crossings += 1;
-            }
-            prev = cur;
-        }
-        let zcr = crossings as f64 / (n - 1) as f64;
-
-        let base = TRIAD_BLOCK + 6 * ti;
-        out[base] = mag_mean as f32;
-        out[base + 1] = mag_var as f32;
-        out[base + 2] = jerk_mean as f32;
-        out[base + 3] = jerk_var as f32;
-        out[base + 4] = energy as f32;
-        out[base + 5] = zcr as f32;
-    }
-
-    // ---- window-global statistics ----------------------------------------
+    let mut mag_mean = [0.0f64; TRIADS];
+    let mut energy = [0.0f64; TRIADS];
+    let mut jerk_mean = [0.0f64; TRIADS];
     let mut total_energy = 0.0f64;
     let mut mean_abs_deriv = 0.0f64;
     let mut gmin = f64::INFINITY;
     let mut gmax = f64::NEG_INFINITY;
     let mut ch_energy = [0.0f64; CHANNELS];
-    for t in 0..n {
-        #[allow(clippy::needless_range_loop)] // `ch` also indexes the window
-        for ch in 0..CHANNELS {
-            let v = window.at(t, ch) as f64;
+    let mut prev: Option<&Row> = None;
+    for row in rows(window) {
+        for (ch, &x) in row.iter().enumerate() {
+            let v = x as f64;
+            ch_mean[ch] += v;
             total_energy += v * v;
             ch_energy[ch] += v * v;
-            gmin = gmin.min(v);
-            gmax = gmax.max(v);
-            if t > 0 {
-                mean_abs_deriv += (v - window.at(t - 1, ch) as f64).abs();
+            // Strict comparisons: a NaN never replaces the running
+            // extreme, and of equal values (+0.0, -0.0) the first in time
+            // order stays — the order `f64::min`/`max` leave unspecified.
+            if v < gmin {
+                gmin = v;
+            }
+            if v > gmax {
+                gmax = v;
+            }
+            if let Some(p) = prev {
+                mean_abs_deriv += (v - p[ch] as f64).abs();
             }
         }
+        for ((sum, e), &mag) in mag_mean.iter_mut().zip(&mut energy).zip(&magnitudes(row, &triads)) {
+            let mag = mag as f64;
+            *sum += mag;
+            *e += mag.powi(2);
+        }
+        if let Some(p) = prev {
+            for (sum, &jerk) in jerk_mean.iter_mut().zip(&jerks(p, row, &triads)) {
+                *sum += jerk as f64;
+            }
+        }
+        prev = Some(row);
     }
+    ch_mean.iter_mut().for_each(|m| *m /= nf);
+    mag_mean.iter_mut().for_each(|m| *m /= nf);
+    jerk_mean.iter_mut().for_each(|m| *m /= jn);
+
+    // ---- pass 2: squared deviations and zero crossings ---------------------
+    let mut ch_var = [0.0f64; CHANNELS];
+    let mut mag_var = [0.0f64; TRIADS];
+    let mut jerk_var = [0.0f64; TRIADS];
+    // Zero crossings of the mean-removed magnitude — a cheap
+    // dominant-frequency proxy (≈ 2·f/rate for a sinusoid).
+    let mut crossings = [0usize; TRIADS];
+    let mut prev_dev = [0.0f64; TRIADS];
+    let mut prev: Option<&Row> = None;
+    for row in rows(window) {
+        for ((v, &x), &m) in ch_var.iter_mut().zip(row).zip(&ch_mean) {
+            let d = x as f64 - m;
+            *v += d * d;
+        }
+        let mags = magnitudes(row, &triads);
+        let jerks = prev.map(|p| jerks(p, row, &triads));
+        for ti in 0..TRIADS {
+            let dev = mags[ti] as f64 - mag_mean[ti];
+            mag_var[ti] += dev.powi(2);
+            if let Some(jerks) = jerks {
+                jerk_var[ti] += (jerks[ti] as f64 - jerk_mean[ti]).powi(2);
+                if prev_dev[ti].signum() != dev.signum() && dev != 0.0 {
+                    crossings[ti] += 1;
+                }
+            }
+            prev_dev[ti] = dev;
+        }
+        prev = Some(row);
+    }
+
+    for ch in 0..CHANNELS {
+        out[CHANNEL_BLOCK + 2 * ch] = ch_mean[ch] as f32;
+        out[CHANNEL_BLOCK + 2 * ch + 1] = (ch_var[ch] / nf) as f32;
+    }
+    for ti in 0..TRIADS {
+        let base = TRIAD_BLOCK + 6 * ti;
+        out[base] = mag_mean[ti] as f32;
+        out[base + 1] = (mag_var[ti] / nf) as f32;
+        out[base + 2] = jerk_mean[ti] as f32;
+        out[base + 3] = (jerk_var[ti] / jn) as f32;
+        out[base + 4] = (energy[ti] / nf) as f32;
+        out[base + 5] = (crossings[ti] as f64 / jn) as f32;
+    }
+
+    // ---- window-global statistics ----------------------------------------
     total_energy /= nf * CHANNELS as f64;
-    mean_abs_deriv /= (n - 1) as f64 * CHANNELS as f64;
+    mean_abs_deriv /= jn * CHANNELS as f64;
     for e in &mut ch_energy {
         *e /= nf;
     }
@@ -159,6 +165,47 @@ pub fn extract(window: &Tensor) -> Result<Tensor, TensorError> {
     out[GLOBAL_BLOCK + 5] = e_std as f32;
 
     Tensor::from_vec(out, [FEATURE_DIM])
+}
+
+/// One time step of a window: a sample of every channel.
+type Row = [f32; CHANNELS];
+
+/// The window's rows, in time order.
+fn rows(window: &Tensor) -> impl Iterator<Item = &Row> {
+    window
+        .as_slice()
+        .chunks_exact(CHANNELS)
+        .map(|r| r.try_into().expect("chunks_exact yields CHANNELS-wide rows"))
+}
+
+/// Lanes of the per-row triad norm arrays: `TRIADS` rounded up so the
+/// square roots run as whole vector operations (spare lanes hold 0).
+const NORM_LANES: usize = 8;
+
+/// The Euclidean norm of each triad's sample in `row` — lane `ti` is
+/// `(x·x + y·y + z·z).sqrt()` of triad `ti`.
+#[inline(always)]
+fn magnitudes(row: &Row, triads: &[[usize; 3]; TRIADS]) -> [f32; NORM_LANES] {
+    let mut sq = [0.0f32; NORM_LANES];
+    for (s, &[cx, cy, cz]) in sq.iter_mut().zip(triads) {
+        let (x, y, z) = (row[cx], row[cy], row[cz]);
+        *s = x * x + y * y + z * z;
+    }
+    sq.map(f32::sqrt)
+}
+
+/// The norm of each triad's sample-to-sample difference from `prev` to
+/// `row` (the per-sample jerk magnitude), lane per triad.
+#[inline(always)]
+fn jerks(prev: &Row, row: &Row, triads: &[[usize; 3]; TRIADS]) -> [f32; NORM_LANES] {
+    let mut sq = [0.0f32; NORM_LANES];
+    for (s, &[cx, cy, cz]) in sq.iter_mut().zip(triads) {
+        let dx = row[cx] - prev[cx];
+        let dy = row[cy] - prev[cy];
+        let dz = row[cz] - prev[cz];
+        *s = dx * dx + dy * dy + dz * dz;
+    }
+    sq.map(f32::sqrt)
 }
 
 /// Extracts features from a slice of `[time, 22]` windows in parallel,

@@ -24,6 +24,7 @@ use pilote_har_data::FEATURE_DIM;
 use pilote_nn::persist::{Checkpoint, CheckpointError};
 use pilote_obs::work;
 use pilote_tensor::{Rng64, Tensor, TensorError};
+use std::sync::Arc;
 
 /// Typed errors for edge-device operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,20 +154,20 @@ pub struct EdgeDevice {
     pending: Vec<(usize, Tensor)>,
     /// The as-installed deployment (parameters + exemplars) — the frozen
     /// pre-trained state the device degrades to under persistent faults.
-    baseline: (Checkpoint, SupportSet),
+    baseline: ModelSnapshot,
     /// The most recent model state whose quality sample raised no alerts
-    /// (parameters + exemplars; starts at the installed baseline). The
-    /// fleet policy's strike-1 repair restores this snapshot.
-    last_good: (Checkpoint, SupportSet),
+    /// (parameters + exemplars; starts at the installed baseline, sharing
+    /// its checkpoint until an alert-free quality sample re-captures it).
+    /// The fleet policy's strike-1 repair restores this snapshot.
+    last_good: ModelSnapshot,
     /// Consecutive failed incremental updates.
     update_failures: u32,
     degraded: bool,
-    /// Serving-side prototype cache: a snapshot of the NCM classifier
-    /// keyed by the model generation it was built from. Batched serving
-    /// classifies against this snapshot; any committed model change
-    /// (incremental update, rollback, degradation, federated install)
-    /// bumps the generation and invalidates it lazily on the next serve.
-    serve_cache: Option<ServeCache>,
+    /// The model generation [`EdgeDevice::serve_batch`] last served. Any
+    /// committed model change (incremental update, rollback, degradation,
+    /// federated install) bumps the generation, so the next batch counts
+    /// as a cache rebuild: it classifies against the refreshed prototypes.
+    served_generation: Option<u64>,
     /// Cache rebuilds performed by [`EdgeDevice::serve_batch`] so far.
     cache_rebuilds: u64,
     /// Model-quality monitor (forgetting / drift / margins), armed via
@@ -179,23 +180,20 @@ pub struct EdgeDevice {
     telemetry_baseline: pilote_obs::Snapshot,
 }
 
+/// A restorable model state: parameters + exemplars. The checkpoint is
+/// shared, so copies of one snapshot (baseline, last-good, a policy
+/// snapshot) hold a single set of parameters.
+type ModelSnapshot = (Arc<Checkpoint>, SupportSet);
+
 /// Pre-install device state captured by [`EdgeDevice::policy_snapshot`]
 /// so a halted staged rollout can restore the device exactly.
 pub(crate) struct PolicySnapshot {
     checkpoint: Checkpoint,
     support: SupportSet,
-    baseline: (Checkpoint, SupportSet),
-    last_good: (Checkpoint, SupportSet),
+    baseline: ModelSnapshot,
+    last_good: ModelSnapshot,
     update_failures: u32,
     degraded: bool,
-}
-
-/// The cached classifier snapshot behind [`EdgeDevice::serve_batch`].
-struct ServeCache {
-    /// [`pilote_core::Pilote::generation`] the snapshot was taken at.
-    generation: u64,
-    /// Clone of the model's classifier at that generation.
-    classifier: NcmClassifier,
 }
 
 impl EdgeDevice {
@@ -223,9 +221,24 @@ impl EdgeDevice {
         link: &LinkModel,
         payload_bytes: u64,
     ) -> Result<EdgeDevice, EdgeError> {
+        let baseline = Arc::new(deployment.checkpoint.clone());
+        Self::install_sharing(profile, deployment, link, payload_bytes, baseline)
+    }
+
+    /// [`EdgeDevice::install_presized`] with the deployment's checkpoint
+    /// already behind an `Arc`, which must hold `deployment.checkpoint`:
+    /// every device a fleet installs from one package then shares one
+    /// baseline instead of holding a copy each.
+    pub(crate) fn install_sharing(
+        profile: DeviceProfile,
+        deployment: &Deployment,
+        link: &LinkModel,
+        payload_bytes: u64,
+        baseline: Arc<Checkpoint>,
+    ) -> Result<EdgeDevice, EdgeError> {
         let mut log = EventLog::new();
         log.advance(link.transfer_seconds(payload_bytes));
-        Self::build(profile, deployment, log, payload_bytes)
+        Self::build(profile, deployment, log, payload_bytes, baseline)
     }
 
     /// Installs over a flaky link, retrying failed transfer attempts with
@@ -252,7 +265,10 @@ impl EdgeDevice {
             let (cost, result) = flaky.attempt(payload);
             log.advance(cost);
             match result {
-                Ok(()) => return Self::build(profile, deployment, log, payload),
+                Ok(()) => {
+                    let baseline = Arc::new(deployment.checkpoint.clone());
+                    return Self::build(profile, deployment, log, payload, baseline);
+                }
                 Err(fault) => {
                     last = Some(fault);
                     log.record(EventKind::TransferRetried {
@@ -271,17 +287,20 @@ impl EdgeDevice {
         })
     }
 
-    /// Shared install tail: load the checkpoint, snapshot the baseline,
-    /// stamp the `Deployed` event on the provided (already-advanced) log.
+    /// Shared install tail: load the checkpoint, keep `baseline` (which
+    /// holds `deployment.checkpoint`) as the baseline and last-good
+    /// snapshot, stamp the `Deployed` event on the provided
+    /// (already-advanced) log.
     fn build(
         profile: DeviceProfile,
         deployment: &Deployment,
         mut log: EventLog,
         payload_bytes: u64,
+        baseline: Arc<Checkpoint>,
     ) -> Result<EdgeDevice, EdgeError> {
         let mut rng = Rng64::new(deployment.config.seed ^ 0xed6e);
         let mut net = EmbeddingNet::new(deployment.config.net.clone(), &mut rng);
-        deployment.checkpoint.restore(net.layers_mut())?;
+        baseline.restore(net.layers_mut())?;
         let mut model = Pilote::from_parts(
             deployment.config.clone(),
             net,
@@ -298,7 +317,7 @@ impl EdgeDevice {
         let assembler = WindowAssembler::new(WINDOW_LEN, WINDOW_LEN, 1)
             .with_normalizer(deployment.normalizer.clone());
         log.record(EventKind::Deployed { payload_bytes });
-        let baseline = (deployment.checkpoint.clone(), deployment.support.clone());
+        let baseline = (baseline, deployment.support.clone());
         Ok(EdgeDevice {
             profile,
             model,
@@ -310,7 +329,7 @@ impl EdgeDevice {
             baseline,
             update_failures: 0,
             degraded: false,
-            serve_cache: None,
+            served_generation: None,
             cache_rebuilds: 0,
             quality: None,
             telemetry_baseline: pilote_obs::Snapshot::default(),
@@ -445,7 +464,7 @@ impl EdgeDevice {
                 // An alert-free sample certifies the current state: make
                 // it the rollback target for the policy's strike-1 repair.
                 self.last_good = (
-                    Checkpoint::capture(self.model.net_mut().layers_mut()),
+                    Arc::new(Checkpoint::capture(self.model.net_mut().layers_mut())),
                     self.model.support().clone(),
                 );
             }
@@ -501,7 +520,7 @@ impl EdgeDevice {
         }
         let flops = work::thread_flops().wrapping_sub(flops_before);
         self.log.advance(self.profile.seconds_for_flops(flops));
-        self.baseline = (deployment.checkpoint.clone(), deployment.support.clone());
+        self.baseline = (Arc::new(deployment.checkpoint.clone()), deployment.support.clone());
         self.last_good = self.baseline.clone();
         self.update_failures = 0;
         self.degraded = false;
@@ -734,34 +753,27 @@ impl EdgeDevice {
         Ok(self.model.predict(features)?)
     }
 
-    /// Serves a pre-extracted feature batch (`[n, 28]`) through the
-    /// prototype cache: one embedding forward and one distance kernel for
-    /// the whole batch, classified against a cached snapshot of the NCM
-    /// classifier.
+    /// Serves a pre-extracted feature batch (`[n, 80]`): one embedding
+    /// forward through the model's inference plan and one distance kernel
+    /// against the current prototypes, for the whole batch.
     ///
     /// Every kernel is band-parallel over output **rows**, with each row a
     /// pure serial function of its input row, so the outcomes here are
     /// bitwise identical to classifying each window on its own (the
     /// [`EdgeDevice::stream`] path) — see `docs/FLEET.md` for the contract.
     ///
-    /// The cache is keyed by [`Pilote::generation`], which bumps at every
-    /// model commit point (incremental update, rollback, degradation,
-    /// federated install), so a stale snapshot is rebuilt lazily on the
-    /// next serve and can never be consulted.
+    /// The batch is recorded as a cache rebuild ([`EdgeDevice::cache_rebuilds`],
+    /// `BatchServed.cache_rebuilt`) when [`Pilote::generation`] moved since
+    /// the last served batch: every model commit point (incremental update,
+    /// rollback, degradation, federated install) bumps it.
     pub fn serve_batch(&mut self, features: &Tensor) -> Result<Vec<InferenceOutcome>, EdgeError> {
         if features.rows() == 0 {
             return Ok(Vec::new());
         }
         let generation = self.model.generation();
-        let cache_rebuilt = !matches!(
-            &self.serve_cache,
-            Some(cache) if cache.generation == generation
-        );
+        let cache_rebuilt = self.served_generation != Some(generation);
         if cache_rebuilt {
-            self.serve_cache = Some(ServeCache {
-                generation,
-                classifier: self.model.classifier().clone(),
-            });
+            self.served_generation = Some(generation);
             self.cache_rebuilds += 1;
         }
         let span = pilote_obs::span("edge.serve_batch");
@@ -770,12 +782,7 @@ impl EdgeDevice {
         // `stream` — never host wall time.
         let flops_before = work::thread_flops();
         let embeddings = self.model.embed(features);
-        let labelled = match &self.serve_cache {
-            Some(cache) => cache.classifier.classify_with_distances(&embeddings)?,
-            // The cache was installed above; classifying against the live
-            // model is the same snapshot at this generation.
-            None => self.model.classifier().classify_with_distances(&embeddings)?,
-        };
+        let labelled = self.model.classifier().classify_with_distances(&embeddings)?;
         let flops = work::thread_flops().wrapping_sub(flops_before);
         let device_seconds = self.profile.seconds_for_flops(flops);
         span.annotate("device_seconds", device_seconds);
@@ -796,9 +803,10 @@ impl EdgeDevice {
         self.cache_rebuilds
     }
 
-    /// Model generation the serving cache was built at, if one exists.
+    /// Model generation [`EdgeDevice::serve_batch`] last served, if it
+    /// has served.
     pub fn serve_cache_generation(&self) -> Option<u64> {
-        self.serve_cache.as_ref().map(|c| c.generation)
+        self.served_generation
     }
 
     /// Accuracy on a labelled feature dataset.
@@ -1167,6 +1175,35 @@ mod tests {
             serde_json::to_string(b.log().events()).expect("json"),
         );
         assert_eq!(a.log().now().to_bits(), b.log().now().to_bits());
+    }
+
+    #[test]
+    fn installs_from_one_package_share_one_baseline_checkpoint() {
+        let (deployment, _, _) = deployment();
+        let wire = deployment.wire_bytes().expect("wire bytes");
+        let shared = Arc::new(deployment.checkpoint.clone());
+        let install = || {
+            let (profile, link) = (DeviceProfile::wearable(), LinkModel::wifi());
+            EdgeDevice::install_sharing(profile, &deployment, &link, wire, Arc::clone(&shared))
+                .expect("install")
+        };
+        let (mut a, b) = (install(), install());
+        for device in [&a, &b] {
+            assert!(Arc::ptr_eq(&device.baseline.0, &shared));
+            assert!(Arc::ptr_eq(&device.last_good.0, &shared));
+        }
+        let mut own = EdgeDevice::install_presized(
+            DeviceProfile::wearable(),
+            &deployment,
+            &LinkModel::wifi(),
+            wire,
+        )
+        .expect("install");
+        let probe = Tensor::randn([6, FEATURE_DIM], 0.0, 1.0, &mut Rng64::new(3));
+        assert_eq!(
+            a.classify_features(&probe).expect("classify"),
+            own.classify_features(&probe).expect("classify")
+        );
     }
 
     fn deployment() -> (crate::cloud::Deployment, Simulator, Normalizer) {

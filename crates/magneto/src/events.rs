@@ -68,8 +68,8 @@ pub enum EventKind {
     BatchServed {
         /// Windows classified in this batch.
         windows: u64,
-        /// Whether the prototype cache had to be rebuilt (the model
-        /// generation moved since the last serve).
+        /// Whether the serving state had to be rebuilt: the model
+        /// generation moved since the last served batch.
         cache_rebuilt: bool,
     },
     /// A federated round was applied.

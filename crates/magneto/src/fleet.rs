@@ -43,6 +43,7 @@ use pilote_har_data::Dataset;
 use pilote_nn::Checkpoint;
 use pilote_tensor::{parallel, Tensor};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Tuning knobs for a [`Fleet`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -488,13 +489,19 @@ impl Fleet {
         span.annotate("devices", slots.len() as f64);
         // The package is identical for every device: encode and decode it
         // once at the configured precision and let every install share the
-        // decoded package and its exact wire size.
+        // decoded package, its exact wire size and one baseline checkpoint.
         let (package, wire) = package_for_wire(deployment, config.wire.precision)?;
+        let baseline = Arc::new(package.checkpoint.clone());
         let members = slots
             .into_iter()
             .map(|(profile, link)| {
-                let mut device =
-                    EdgeDevice::install_presized(profile, &package, &link, wire)?;
+                let mut device = EdgeDevice::install_sharing(
+                    profile,
+                    &package,
+                    &link,
+                    wire,
+                    Arc::clone(&baseline),
+                )?;
                 device.set_event_capacity(config.event_capacity);
                 Ok(FleetMember { device, link, updates_completed: 0, base_round: 0 })
             })
@@ -536,17 +543,20 @@ impl Fleet {
         // Installs are coarse-grained; gate only on the configured thread
         // count, not the kernel layer's scalar-op threshold.
         let threads = parallel::current().num_threads.max(1).min(slots.len());
-        // One encode/decode for the whole roster — the package is shared.
+        // One encode/decode for the whole roster — the package, and the
+        // baseline checkpoint every device keeps, are shared.
         let (package, wire) = package_for_wire(deployment, config.wire.precision)?;
+        let baseline = Arc::new(package.checkpoint.clone());
         let bands = parallel::map_bands(slots.len(), threads, |range| {
             slots[range]
                 .iter()
                 .map(|(profile, link)| {
-                    let mut device = EdgeDevice::install_presized(
+                    let mut device = EdgeDevice::install_sharing(
                         profile.clone(),
                         &package,
                         link,
                         wire,
+                        Arc::clone(&baseline),
                     )?;
                     device.set_event_capacity(config.event_capacity);
                     Ok(FleetMember { device, link: *link, updates_completed: 0, base_round: 0 })

@@ -1,6 +1,7 @@
 //! Activation layers.
 
 use super::{Layer, Mode};
+use crate::plan::InferencePlan;
 use pilote_tensor::Tensor;
 
 /// Rectified linear unit, `y = max(0, x)` (Nair & Hinton 2010) — the
@@ -31,6 +32,10 @@ impl Layer for ReLU {
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
         Vec::new()
+    }
+
+    fn freeze_into(&self, plan: &mut InferencePlan) {
+        plan.push_relu();
     }
 
     fn name(&self) -> &'static str {

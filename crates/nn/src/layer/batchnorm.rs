@@ -2,6 +2,7 @@
 //! choice for the first four layers of the embedding network.
 
 use super::{Layer, Mode};
+use crate::plan::InferencePlan;
 use pilote_tensor::reduce::Axis;
 use pilote_tensor::Tensor;
 
@@ -146,6 +147,10 @@ impl Layer for BatchNorm1d {
             (&mut self.gamma, &mut self.grad_gamma),
             (&mut self.beta, &mut self.grad_beta),
         ]
+    }
+
+    fn freeze_into(&self, plan: &mut InferencePlan) {
+        plan.push_batch_norm(&self.running_mean, &self.running_var, self.eps, &self.gamma, &self.beta);
     }
 
     fn name(&self) -> &'static str {

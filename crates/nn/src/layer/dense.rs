@@ -1,6 +1,7 @@
 //! Fully connected (affine) layer.
 
 use super::{Layer, Mode};
+use crate::plan::InferencePlan;
 use pilote_tensor::{Rng64, Tensor};
 use pilote_tensor::reduce::Axis;
 
@@ -78,6 +79,10 @@ impl Layer for Dense {
             (&mut self.weight, &mut self.grad_weight),
             (&mut self.bias, &mut self.grad_bias),
         ]
+    }
+
+    fn freeze_into(&self, plan: &mut InferencePlan) {
+        plan.push_dense(&self.weight, &self.bias);
     }
 
     fn name(&self) -> &'static str {

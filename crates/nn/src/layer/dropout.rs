@@ -1,6 +1,7 @@
 //! Inverted dropout.
 
 use super::{Layer, Mode};
+use crate::plan::InferencePlan;
 use pilote_tensor::{Rng64, Tensor};
 
 /// Inverted dropout: in training mode each element is zeroed with
@@ -59,6 +60,9 @@ impl Layer for Dropout {
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
         Vec::new()
     }
+
+    /// Eval-mode dropout is the identity: nothing to append.
+    fn freeze_into(&self, _plan: &mut InferencePlan) {}
 
     fn name(&self) -> &'static str {
         "Dropout"

@@ -18,6 +18,7 @@ pub use dense::Dense;
 pub use dropout::Dropout;
 pub use sequential::Sequential;
 
+use crate::plan::InferencePlan;
 use pilote_tensor::Tensor;
 
 /// Forward-pass mode: training (batch statistics, active dropout) or
@@ -61,6 +62,10 @@ pub trait Layer: Send {
     fn param_count(&mut self) -> usize {
         self.params_and_grads().iter().map(|(p, _)| p.len()).sum()
     }
+
+    /// Appends this layer's `Mode::Eval` forward, with its current
+    /// parameters and running statistics, to a frozen [`InferencePlan`].
+    fn freeze_into(&self, plan: &mut InferencePlan);
 
     /// Human-readable layer name for summaries.
     fn name(&self) -> &'static str;

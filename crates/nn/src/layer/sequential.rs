@@ -1,6 +1,7 @@
 //! Layer composition.
 
 use super::{Layer, Mode};
+use crate::plan::InferencePlan;
 use pilote_tensor::Tensor;
 
 /// An ordered stack of layers applied front-to-back.
@@ -38,12 +39,6 @@ impl Sequential {
     /// Whether the stack has no layers.
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
-    }
-
-    /// Forward pass without caching hazards for callers that only need
-    /// predictions (still mutates per-layer caches, but semantically eval).
-    pub fn predict(&mut self, input: &Tensor) -> Tensor {
-        self.forward(input, Mode::Eval)
     }
 
     /// Snapshot of all parameter tensors (deep copies, stable order).
@@ -102,6 +97,12 @@ impl Layer for Sequential {
             .iter_mut()
             .flat_map(|l| l.params_and_grads())
             .collect()
+    }
+
+    fn freeze_into(&self, plan: &mut InferencePlan) {
+        for layer in &self.layers {
+            layer.freeze_into(plan);
+        }
     }
 
     fn name(&self) -> &'static str {

@@ -11,6 +11,9 @@
 //!   [`layer::Sequential`]. Every layer caches its forward activations and
 //!   implements an analytic backward pass that is verified against central
 //!   finite differences (see [`gradcheck`]).
+//! * **Inference plans** ([`plan`]): a network's `Mode::Eval` forward
+//!   compiled once into an immutable [`InferencePlan`] — weights packed
+//!   for the GEMM kernel, no training caches, bitwise the layer forward.
 //! * **Losses** ([`loss`]): the margin contrastive loss of Eq. 2 (both the
 //!   paper's `m² − d²` form and the classic Hadsell `(m − d)²` form), the
 //!   embedding distillation loss of Algorithm 1 line 11, plus MSE, softmax
@@ -36,6 +39,7 @@ pub mod layer;
 pub mod loss;
 pub mod optim;
 pub mod persist;
+pub mod plan;
 pub mod sched;
 pub mod train;
 
@@ -43,5 +47,6 @@ pub use layer::{BatchNorm1d, Dense, Dropout, Layer, Mode, ReLU, Sequential};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use delta::{CheckpointDelta, DeltaError};
 pub use persist::{Checkpoint, CheckpointError};
+pub use plan::InferencePlan;
 pub use sched::{HalvingLr, LrSchedule, StepLr};
 pub use train::{grad_norm, grads_finite, observe_epoch, params_finite, EarlyStopper, EpochStats};

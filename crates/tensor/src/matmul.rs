@@ -19,7 +19,7 @@
 //! holds (regression-tested below).
 
 use crate::error::TensorError;
-use crate::pack::{self, Epilogue, Operand};
+use crate::pack::{self, Epilogue, Operand, PackedRhs};
 use crate::parallel;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -98,6 +98,31 @@ impl Tensor {
             Epilogue::None,
             &mut out,
         );
+        Tensor::from_vec(out, [m, n])
+    }
+
+    /// `self @ B` against a right-hand side packed once by
+    /// [`PackedRhs::new`] — the frozen-weight form of [`Tensor::matmul`].
+    ///
+    /// Bitwise identical to `self.matmul(&b)` for the matrix `b` that was
+    /// packed, and recorded as the same `2·m·n·k`-flop `MatMul` dispatch,
+    /// so modeled device time does not depend on which form ran.
+    pub fn matmul_prepacked(&self, rhs: &PackedRhs) -> Result<Tensor> {
+        if self.rank() != 2 {
+            return Err(TensorError::RankMismatch { got: self.rank(), expected: 2, op: "matmul_prepacked" });
+        }
+        let (m, k, n) = (self.rows(), self.cols(), rhs.cols());
+        if k != rhs.rows() {
+            return Err(TensorError::ShapeMismatch {
+                left: self.shape().dims().to_vec(),
+                right: vec![rhs.rows(), n],
+                op: "matmul_prepacked",
+            });
+        }
+        work::record(KernelKind::MatMul, 2 * (m as u64) * (n as u64) * (k as u64));
+        let mut out = vec![0.0f32; m * n];
+        let threads = parallel::effective_threads(m * n * k);
+        pack::gemm_prepacked(Operand::plain(self.as_slice(), k), rhs, m, threads, &mut out);
         Tensor::from_vec(out, [m, n])
     }
 

@@ -2,8 +2,8 @@
 """Fills EXPERIMENTS.md placeholders from the JSON files in results/.
 
 Usage: python3 scripts/fill_experiments.py [results_dir]
-Idempotent: placeholders are HTML comments that survive filling, and each
-fill replaces the section between the marker and the next blank line.
+Idempotent: placeholders are HTML comments on their own line that survive
+filling, and each fill replaces the table rows right after its marker.
 """
 import json
 import re
@@ -30,10 +30,18 @@ def table(headers, rows):
 
 
 def fill(text, marker, content):
+    """Replaces the table under a marker line with `content`.
+
+    Only a marker alone on its own line counts: a marker quoted inside
+    prose (like the example in EXPERIMENTS.md's provenance notes) is left
+    alone. The replaced block is the run of table rows (`|` lines) right
+    after the marker, so text that follows a table without a blank line,
+    such as a heading, survives the fill.
+    """
     if content is None:
         return text
-    pattern = re.compile(rf"(<!-- {marker} -->)(.*?)(?=\n\n|\Z)", re.S)
-    return pattern.sub(lambda m: m.group(1) + "\n" + content, text)
+    pattern = re.compile(rf"^(<!-- {marker} -->)[ \t]*\n(?:\|.*(?:\n|\Z))*", re.M)
+    return pattern.sub(lambda m: m.group(1) + "\n" + content + "\n", text)
 
 
 def main():
