@@ -24,7 +24,8 @@
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
 use pilote_core::{
-    AdaptiveThresholds, Pilote, PiloteConfig, QualityThresholds, SelectionStrategy,
+    AdaptiveThresholds, Pilote, PiloteConfig, QualityMonitor, QualityThresholds,
+    SelectionStrategy,
 };
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::dataset::Dataset;
@@ -143,7 +144,11 @@ fn run_arm(
     let mut fleet = Fleet::deploy(slots, deployment, config).expect("fleet deploy");
     let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
     fleet
-        .arm_quality_monitors(probe, &base_labels, QualityThresholds::default())
+        .arm_quality_monitors(&QualityMonitor::new(
+            probe.clone(),
+            &base_labels,
+            QualityThresholds::default(),
+        ))
         .expect("arm fleet");
     if policy_on {
         fleet.enable_policy(PolicyConfig::default(), deployment.clone()).expect("enable policy");

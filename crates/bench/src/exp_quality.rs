@@ -26,7 +26,7 @@
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
 use pilote_core::strategies::Strategy;
-use pilote_core::{Pilote, PiloteConfig, QualityThresholds, SelectionStrategy};
+use pilote_core::{Pilote, PiloteConfig, QualityMonitor, QualityThresholds, SelectionStrategy};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::dataset::Dataset;
 use pilote_har_data::features::extract_batch;
@@ -131,7 +131,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     };
     let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
     let probe = test.filter_classes(&base_labels).expect("probe classes");
-    let thresholds = QualityThresholds::default();
+    let monitor = QualityMonitor::new(probe.clone(), &base_labels, QualityThresholds::default());
 
     // --- part 1: A/B alert demo ----------------------------------------
     // Same deployment, same new-class samples, same seed — only the
@@ -149,9 +149,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
         let mut device =
             EdgeDevice::install(DeviceProfile::flagship_phone(), &deployment, &LinkModel::wifi())
                 .expect("install");
-        device
-            .arm_quality_monitor(probe.clone(), &base_labels, thresholds)
-            .expect("arm");
+        device.arm_quality_monitor(monitor.clone()).expect("arm");
         if retrain {
             Strategy::Retrained
                 .update(device.model_mut(), &ab_samples, budget)
@@ -185,7 +183,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     ..FleetConfig::default()
     };
     let mut fleet = Fleet::deploy(slots, &deployment, config).expect("fleet deploy");
-    fleet.arm_quality_monitors(&probe, &base_labels, thresholds).expect("arm fleet");
+    fleet.arm_quality_monitors(&monitor).expect("arm fleet");
 
     let mut session_cursor = 0usize;
     let mut rng = Rng64::new(seed ^ 0xf1e7_4a11);

@@ -13,7 +13,7 @@
 //! * **Pre-trained** — frozen embedding, new exemplars only.
 //!
 //! Each arm's device carries a session-recording quality monitor
-//! ([`pilote_magneto::EdgeDevice::arm_quality_monitor_with_sessions`]),
+//! ([`pilote_core::QualityMonitor::with_session_tasks`]),
 //! so every model generation stamps one row of a session × task
 //! [`pilote_core::AccuracyMatrix`] over a five-class held-out probe. The
 //! emitted JSON holds the **full matrices** plus the derived metrics —
@@ -37,7 +37,8 @@ use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
 use pilote_core::strategies::Strategy;
 use pilote_core::{
-    Pilote, PiloteConfig, QualityThresholds, SelectionStrategy, SessionSummary, TaskGroup,
+    Pilote, PiloteConfig, QualityMonitor, QualityThresholds, SelectionStrategy, SessionSummary,
+    TaskGroup,
 };
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::dataset::Dataset;
@@ -156,13 +157,13 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     };
     let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
     let tasks = task_groups();
-    let thresholds = QualityThresholds::default();
     let budget = scale.exemplars_per_class;
 
     // The probe carries all five activities: not-yet-learned tasks are
     // measured from session 0, which is what makes forward transfer (and
     // the honest NCM zero on unseen labels) visible in the matrix.
-    let probe = test.clone();
+    let monitor = QualityMonitor::new(test.clone(), &base_labels, QualityThresholds::default())
+        .with_session_tasks(tasks.clone());
 
     // Every arm replays the same increments from the same pre-drawn
     // batches — strategies differ, data never does.
@@ -182,14 +183,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
         let mut device =
             EdgeDevice::install(DeviceProfile::flagship_phone(), &deployment, &LinkModel::wifi())
                 .expect("install");
-        device
-            .arm_quality_monitor_with_sessions(
-                probe.clone(),
-                &base_labels,
-                thresholds,
-                tasks.clone(),
-            )
-            .expect("arm");
+        device.arm_quality_monitor(monitor.clone()).expect("arm");
         for (activity, batch) in INCREMENTS.iter().zip(&batches) {
             if strategy == Strategy::Pilote {
                 // PILOTE runs on-device: label the samples, then the
@@ -225,9 +219,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
         ..FleetConfig::default()
     };
     let mut fleet = Fleet::deploy(slots, &deployment, config).expect("fleet deploy");
-    fleet
-        .arm_quality_monitors_with_sessions(&probe, &base_labels, thresholds, &tasks)
-        .expect("arm fleet");
+    fleet.arm_quality_monitors(&monitor).expect("arm fleet");
 
     let mut session_cursor = 0usize;
     let mut rng = Rng64::new(seed ^ 0xf1e7_5ce7);

@@ -12,7 +12,7 @@ use crate::events::{EventKind, EventLog};
 use crate::federated::FederatedError;
 use pilote_core::{
     AccuracyMatrix, AdaptiveThresholds, EmbeddingNet, NcmClassifier, Pilote, QualityMonitor,
-    QualityReport, QualityThresholds, SupportSet, TaskGroup, UpdateOutcome,
+    QualityReport, SupportSet, UpdateOutcome,
 };
 use pilote_edge_sim::faults::{FlakyLink, LinkFault, RetryPolicy};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
@@ -204,31 +204,19 @@ impl EdgeDevice {
         deployment: &Deployment,
         link: &LinkModel,
     ) -> Result<EdgeDevice, EdgeError> {
-        Self::install_presized(profile, deployment, link, deployment.wire_bytes()?)
-    }
-
-    /// [`EdgeDevice::install`] with the deployment's wire size computed
-    /// once by the caller. `payload_bytes` must equal
-    /// [`Deployment::wire_bytes`] for this deployment — the value feeds
-    /// the link transfer charge and the `Deployed` event, so a wrong size
-    /// corrupts the device's virtual clock. Fleet installs amortize one
-    /// serialization across the whole roster this way: the package is
-    /// identical for every device, and re-serializing it per install
-    /// dominates large-roster deploy time.
-    pub fn install_presized(
-        profile: DeviceProfile,
-        deployment: &Deployment,
-        link: &LinkModel,
-        payload_bytes: u64,
-    ) -> Result<EdgeDevice, EdgeError> {
+        let payload_bytes = deployment.wire_bytes()?;
         let baseline = Arc::new(deployment.checkpoint.clone());
         Self::install_sharing(profile, deployment, link, payload_bytes, baseline)
     }
 
-    /// [`EdgeDevice::install_presized`] with the deployment's checkpoint
-    /// already behind an `Arc`, which must hold `deployment.checkpoint`:
-    /// every device a fleet installs from one package then shares one
-    /// baseline instead of holding a copy each.
+    /// [`EdgeDevice::install`] with the deployment's wire size computed
+    /// once by the caller and its checkpoint already behind an `Arc`.
+    /// `payload_bytes` must equal the package's wire size — it feeds the
+    /// link transfer charge and the `Deployed` event, so a wrong size
+    /// corrupts the device's virtual clock — and `baseline` must hold
+    /// `deployment.checkpoint`. Fleet installs amortize one serialization
+    /// across the whole roster this way, and every device installed from
+    /// one package shares one baseline instead of holding a copy each.
     pub(crate) fn install_sharing(
         profile: DeviceProfile,
         deployment: &Deployment,
@@ -372,48 +360,64 @@ impl EdgeDevice {
         Ok(())
     }
 
-    /// Arms the model-quality monitor with a held-out probe set (already
-    /// in model feature space) and immediately takes the baseline
-    /// observation at the current generation. `old_labels` are the classes
-    /// whose accuracy the forgetting score tracks. Subsequent generation
-    /// bumps (updates, rollbacks, degradation, federated installs) are
-    /// sampled automatically; fired rules raise
-    /// [`EventKind::AlertRaised`] in the device log.
-    pub fn arm_quality_monitor(
-        &mut self,
-        probe: Dataset,
-        old_labels: &[usize],
-        thresholds: QualityThresholds,
-    ) -> Result<(), EdgeError> {
-        self.quality = Some(QualityMonitor::new(probe, old_labels, thresholds));
+    /// Arms a model-quality monitor (its probe set already in model
+    /// feature space) and immediately takes the baseline observation at
+    /// the current generation. Subsequent generation bumps (updates,
+    /// rollbacks, degradation, federated installs) are sampled
+    /// automatically; fired rules raise [`EventKind::AlertRaised`] in the
+    /// device log.
+    ///
+    /// A monitor built with [`QualityMonitor::with_session_tasks`] also
+    /// stamps one row of a session × task [`AccuracyMatrix`] per
+    /// observation (see `docs/METRICS.md`) and records
+    /// [`EventKind::SessionRecorded`]. The baseline observation taken here
+    /// is row 0, so pre-learning accuracy on not-yet-known tasks (forward
+    /// transfer) is measured from the start.
+    pub fn arm_quality_monitor(&mut self, monitor: QualityMonitor) -> Result<(), EdgeError> {
+        self.quality = Some(monitor);
         self.sample_quality()?;
         Ok(())
     }
 
-    /// [`EdgeDevice::arm_quality_monitor`] plus session-matrix recording:
-    /// every observation also stamps one row of a session × task
-    /// [`AccuracyMatrix`] (see `pilote_core::session_metrics` and
-    /// `docs/METRICS.md`) and records [`EventKind::SessionRecorded`]. The
-    /// baseline observation taken here is row 0, so pre-learning accuracy
-    /// on not-yet-known tasks (forward transfer) is measured from the
-    /// start.
-    pub fn arm_quality_monitor_with_sessions(
-        &mut self,
-        probe: Dataset,
-        old_labels: &[usize],
-        thresholds: QualityThresholds,
-        tasks: Vec<TaskGroup>,
-    ) -> Result<(), EdgeError> {
-        self.quality =
-            Some(QualityMonitor::new(probe, old_labels, thresholds).with_session_tasks(tasks));
-        self.sample_quality()?;
-        Ok(())
-    }
-
-    /// The armed monitor's session × task accuracy matrix, when recording
-    /// was enabled via [`EdgeDevice::arm_quality_monitor_with_sessions`].
+    /// The armed monitor's session × task accuracy matrix, when it was
+    /// built with [`QualityMonitor::with_session_tasks`].
     pub fn session_matrix(&self) -> Option<&AccuracyMatrix> {
         self.quality.as_ref().and_then(|m| m.session_matrix())
+    }
+
+    /// Runs `f` and charges the kernel flops it dispatched on this thread
+    /// to the virtual clock as *modeled* device seconds, returning `f`'s
+    /// result and the seconds charged. Never a host wall-clock
+    /// measurement: the flop count is a pure function of the operand
+    /// shapes, so a trace is identical on a loaded laptop and an idle
+    /// server (see docs/OBSERVABILITY.md). A failing `f` charges nothing.
+    fn charged<R>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<R, EdgeError>,
+    ) -> Result<(R, f64), EdgeError> {
+        let flops_before = work::thread_flops();
+        let out = f(self)?;
+        let flops = work::thread_flops().wrapping_sub(flops_before);
+        let seconds = self.profile.seconds_for_flops(flops);
+        self.log.advance(seconds);
+        Ok((out, seconds))
+    }
+
+    /// Restores `ckpt`'s parameters — and `support` as the exemplar set,
+    /// when given — then refreshes the prototypes, committing a new model
+    /// generation. Charges nothing itself: callers that model the refresh
+    /// as device work run this inside `EdgeDevice::charged`.
+    pub(crate) fn restore_state(
+        &mut self,
+        ckpt: &Checkpoint,
+        support: Option<SupportSet>,
+    ) -> Result<(), EdgeError> {
+        ckpt.restore(self.model.net_mut().layers_mut())?;
+        if let Some(support) = support {
+            *self.model.support_mut() = support;
+        }
+        self.model.refresh_prototypes()?;
+        Ok(())
     }
 
     /// Samples the quality monitor if it is armed and the model generation
@@ -421,28 +425,30 @@ impl EdgeDevice {
     /// to the virtual clock as modeled device work, and every alert in the
     /// report is raised as an [`EventKind::AlertRaised`] event.
     pub fn sample_quality(&mut self) -> Result<Option<QualityReport>, EdgeError> {
-        let Some(monitor) = &mut self.quality else {
+        if self.quality.is_none() {
             return Ok(None);
-        };
+        }
         let span = pilote_obs::span("edge.quality_sample");
-        let flops_before = work::thread_flops();
-        let report = monitor.observe(&mut self.model)?;
-        // When the monitor records a session matrix, a fresh report means
-        // a fresh row — summarise it for the event log while the monitor
-        // borrow is live.
-        let session_row = match (&report, monitor.session_matrix()) {
-            (Some(_), Some(matrix)) => {
-                let session = matrix.sessions().saturating_sub(1);
-                let summary = matrix.summary();
-                Some((session as u64, summary.average_accuracy, summary.final_forgetting))
-            }
-            _ => None,
-        };
-        let flops = work::thread_flops().wrapping_sub(flops_before);
-        let device_seconds = self.profile.seconds_for_flops(flops);
+        let ((report, session_row), device_seconds) = self.charged(|dev| {
+            let Some(monitor) = &mut dev.quality else {
+                return Ok((None, None));
+            };
+            let report = monitor.observe(&mut dev.model)?;
+            // When the monitor records a session matrix, a fresh report
+            // means a fresh row — summarise it for the event log while the
+            // monitor borrow is live.
+            let session_row = match (&report, monitor.session_matrix()) {
+                (Some(_), Some(matrix)) => {
+                    let session = matrix.sessions().saturating_sub(1);
+                    let summary = matrix.summary();
+                    Some((session as u64, summary.average_accuracy, summary.final_forgetting))
+                }
+                _ => None,
+            };
+            Ok((report, session_row))
+        })?;
         span.annotate("device_seconds", device_seconds);
         drop(span);
-        self.log.advance(device_seconds);
         if let Some(report) = &report {
             if let Some((session, average_accuracy, forgetting)) = session_row {
                 self.log.record(EventKind::SessionRecorded {
@@ -494,12 +500,7 @@ impl EdgeDevice {
     /// recording [`EventKind::RepairRollback`].
     pub fn repair_rollback(&mut self, strike: u32) -> Result<(), EdgeError> {
         let (ckpt, support) = self.last_good.clone();
-        let flops_before = work::thread_flops();
-        ckpt.restore(self.model.net_mut().layers_mut())?;
-        *self.model.support_mut() = support;
-        self.model.refresh_prototypes()?;
-        let flops = work::thread_flops().wrapping_sub(flops_before);
-        self.log.advance(self.profile.seconds_for_flops(flops));
+        self.charged(|dev| dev.restore_state(&ckpt, Some(support)))?;
         self.log.record(EventKind::RepairRollback { strike });
         Ok(())
     }
@@ -511,15 +512,13 @@ impl EdgeDevice {
     /// the last-good snapshot on the package. The caller charges the
     /// download on the device's link.
     pub fn adopt_deployment(&mut self, deployment: &Deployment) -> Result<(), EdgeError> {
-        let flops_before = work::thread_flops();
-        deployment.checkpoint.restore(self.model.net_mut().layers_mut())?;
-        *self.model.support_mut() = deployment.support.clone();
-        self.model.refresh_prototypes()?;
-        if let Some(p) = &deployment.prototypes {
-            self.model.install_prototypes(p.labels.clone(), p.matrix.clone())?;
-        }
-        let flops = work::thread_flops().wrapping_sub(flops_before);
-        self.log.advance(self.profile.seconds_for_flops(flops));
+        self.charged(|dev| {
+            dev.restore_state(&deployment.checkpoint, Some(deployment.support.clone()))?;
+            if let Some(p) = &deployment.prototypes {
+                dev.model.install_prototypes(p.labels.clone(), p.matrix.clone())?;
+            }
+            Ok(())
+        })?;
         self.baseline = (Arc::new(deployment.checkpoint.clone()), deployment.support.clone());
         self.last_good = self.baseline.clone();
         self.update_failures = 0;
@@ -531,12 +530,8 @@ impl EdgeDevice {
     /// strike-3 repair — same terminal state as [`MAX_UPDATE_FAILURES`]
     /// crash failures, but driven by model quality).
     pub fn policy_degrade(&mut self, strike: u32) -> Result<(), EdgeError> {
-        let flops_before = work::thread_flops();
-        self.baseline.0.restore(self.model.net_mut().layers_mut())?;
-        *self.model.support_mut() = self.baseline.1.clone();
-        self.model.refresh_prototypes()?;
-        let flops = work::thread_flops().wrapping_sub(flops_before);
-        self.log.advance(self.profile.seconds_for_flops(flops));
+        let (ckpt, support) = self.baseline.clone();
+        self.charged(|dev| dev.restore_state(&ckpt, Some(support)))?;
         self.pending.clear();
         self.degraded = true;
         self.log.record(EventKind::DegradedToPretrained { failures: strike });
@@ -560,12 +555,7 @@ impl EdgeDevice {
     /// exemplars, ladder state), charging the prototype refresh to the
     /// virtual clock.
     pub(crate) fn policy_restore(&mut self, snap: PolicySnapshot) -> Result<(), EdgeError> {
-        let flops_before = work::thread_flops();
-        snap.checkpoint.restore(self.model.net_mut().layers_mut())?;
-        *self.model.support_mut() = snap.support;
-        self.model.refresh_prototypes()?;
-        let flops = work::thread_flops().wrapping_sub(flops_before);
-        self.log.advance(self.profile.seconds_for_flops(flops));
+        self.charged(|dev| dev.restore_state(&snap.checkpoint, Some(snap.support)))?;
         self.baseline = snap.baseline;
         self.last_good = snap.last_good;
         self.update_failures = snap.update_failures;
@@ -585,16 +575,9 @@ impl EdgeDevice {
         let mut out = Vec::with_capacity(features.len());
         for f in features {
             let row = f.reshape([1, FEATURE_DIM])?;
-            // Charge the virtual clock by *modeled* work, never by a host
-            // wall-clock measurement: the flop delta below is a pure
-            // function of the operand shapes, so the trace is identical on
-            // a loaded laptop and an idle server (see docs/OBSERVABILITY.md).
-            let flops_before = work::thread_flops();
-            let emb = self.model.embed(&row);
-            let dists = self.model.classifier().distances(&emb)?;
-            let predicted = self.model.classifier().labels()[dists.argmin_rows()?[0]];
-            let flops = work::thread_flops().wrapping_sub(flops_before);
-            self.log.advance(self.profile.seconds_for_flops(flops));
+            // The same serving call as `serve_batch`, on a one-row batch.
+            let (served, _) = self.charged(|dev| Ok(dev.model.classify_batch(&row)?))?;
+            let (predicted, distance) = served[0];
             self.log.record(EventKind::Inference { predicted });
             if let Some(monitor) = &mut self.drift {
                 monitor.observe(&f);
@@ -603,7 +586,7 @@ impl EdgeDevice {
                     monitor.reset();
                 }
             }
-            out.push(InferenceOutcome { predicted, distance: dists.min()? });
+            out.push(InferenceOutcome { predicted, distance });
         }
         // Real-time stream: n samples at 120 Hz.
         self.log.advance(samples.rows() as f64 / 120.0);
@@ -675,17 +658,12 @@ impl EdgeDevice {
         self.log.record(EventKind::UpdateStarted { new_label, samples: new_data.len() });
         let span = pilote_obs::span("edge.update");
         span.annotate("new_label", new_label as f64);
-        // Modeled device time (shape-derived flops), not host wall time:
-        // the update's virtual duration must not depend on host load.
-        let flops_before = work::thread_flops();
-        let outcome = self
-            .model
-            .learn_new_class_interruptible(&new_data, exemplar_budget, kill);
-        let flops = work::thread_flops().wrapping_sub(flops_before);
-        let device_seconds = self.profile.seconds_for_flops(flops);
+        // A failed update is still charged: the work happened.
+        let (outcome, device_seconds) = self.charged(|dev| {
+            Ok(dev.model.learn_new_class_interruptible(&new_data, exemplar_budget, kill))
+        })?;
         span.annotate("device_seconds", device_seconds);
         drop(span);
-        self.log.advance(device_seconds);
 
         // Commit only a completed update whose weights AND prototypes are
         // finite; anything else rolls back.
@@ -726,9 +704,7 @@ impl EdgeDevice {
         snapshot: &Checkpoint,
         snapshot_support: SupportSet,
     ) -> Result<UpdateStatus, EdgeError> {
-        snapshot.restore(self.model.net_mut().layers_mut())?;
-        *self.model.support_mut() = snapshot_support;
-        self.model.refresh_prototypes()?;
+        self.restore_state(snapshot, Some(snapshot_support))?;
         self.update_failures += 1;
         self.log.record(EventKind::UpdateRolledBack {
             new_label,
@@ -739,18 +715,12 @@ impl EdgeDevice {
         }
         // Persistent faults: give up on personalisation, keep recognising
         // the pre-trained classes (graceful degradation, tier 4).
-        self.baseline.0.restore(self.model.net_mut().layers_mut())?;
-        *self.model.support_mut() = self.baseline.1.clone();
-        self.model.refresh_prototypes()?;
+        let (ckpt, support) = self.baseline.clone();
+        self.restore_state(&ckpt, Some(support))?;
         self.pending.clear();
         self.degraded = true;
         self.log.record(EventKind::DegradedToPretrained { failures: self.update_failures });
         Ok(UpdateStatus::Degraded)
-    }
-
-    /// Classifies a pre-extracted feature batch (test harness path).
-    pub fn classify_features(&mut self, features: &Tensor) -> Result<Vec<usize>, EdgeError> {
-        Ok(self.model.predict(features)?)
     }
 
     /// Serves a pre-extracted feature batch (`[n, 80]`): one embedding
@@ -778,16 +748,10 @@ impl EdgeDevice {
         }
         let span = pilote_obs::span("edge.serve_batch");
         span.annotate("windows", features.rows() as f64);
-        // Modeled device time from shape-derived kernel work, as in
-        // `stream` — never host wall time.
-        let flops_before = work::thread_flops();
-        let embeddings = self.model.embed(features);
-        let labelled = self.model.classifier().classify_with_distances(&embeddings)?;
-        let flops = work::thread_flops().wrapping_sub(flops_before);
-        let device_seconds = self.profile.seconds_for_flops(flops);
+        let (labelled, device_seconds) =
+            self.charged(|dev| Ok(dev.model.classify_batch(features)?))?;
         span.annotate("device_seconds", device_seconds);
         drop(span);
-        self.log.advance(device_seconds);
         self.log.record(EventKind::BatchServed {
             windows: features.rows() as u64,
             cache_rebuilt,
@@ -819,20 +783,15 @@ impl EdgeDevice {
         &mut self.model
     }
 
-    /// Records a federated round in the log.
-    pub fn note_federated_round(&mut self, participants: usize) {
-        self.log.record(EventKind::FederatedRound { participants });
-    }
-
     /// Appends an event to this device's log at the current virtual time
-    /// (used by the federated coordinator and fleet orchestration).
-    pub fn record_event(&mut self, kind: EventKind) {
+    /// (fleet orchestration: federated rounds, policy actions).
+    pub(crate) fn record_event(&mut self, kind: EventKind) {
         self.log.record(kind);
     }
 
     /// Advances this device's virtual clock (e.g. a fleet charging link
     /// transfer time for a federated round's parameter exchange).
-    pub fn advance_clock(&mut self, seconds: f64) {
+    pub(crate) fn advance_clock(&mut self, seconds: f64) {
         self.log.advance(seconds);
     }
 
@@ -947,7 +906,7 @@ impl std::fmt::Debug for EdgeDevice {
 mod tests {
     use super::*;
     use crate::cloud::CloudServer;
-    use pilote_core::PiloteConfig;
+    use pilote_core::{PiloteConfig, QualityThresholds};
     use pilote_har_data::dataset::generate_features;
     use pilote_har_data::{Activity, Simulator};
     use pilote_har_data::features::extract_batch;
@@ -1028,7 +987,7 @@ mod tests {
         let old = [Activity::Still.label(), Activity::Walk.label()];
         let clock_before_arm = device.log().now();
         device
-            .arm_quality_monitor(probe, &old, QualityThresholds::default())
+            .arm_quality_monitor(QualityMonitor::new(probe, &old, QualityThresholds::default()))
             .expect("arm");
         assert_eq!(device.quality_reports().len(), 1, "arming takes the baseline");
         let baseline_generation = device.quality_reports()[0].generation;
@@ -1065,7 +1024,7 @@ mod tests {
         let probe = probe_set(&mut sim, &norm);
         let old = [Activity::Still.label(), Activity::Walk.label()];
         device
-            .arm_quality_monitor(probe, &old, QualityThresholds::default())
+            .arm_quality_monitor(QualityMonitor::new(probe, &old, QualityThresholds::default()))
             .expect("arm");
         assert_eq!(device.log().alert_count(), 0, "healthy baseline must not alert");
 
@@ -1158,26 +1117,6 @@ mod tests {
     }
 
     #[test]
-    fn install_presized_matches_install() {
-        let (deployment, _, _) = deployment();
-        let link = LinkModel::cellular_4g();
-        let a = EdgeDevice::install(DeviceProfile::wearable(), &deployment, &link)
-            .expect("install");
-        let b = EdgeDevice::install_presized(
-            DeviceProfile::wearable(),
-            &deployment,
-            &link,
-            deployment.wire_bytes().expect("wire bytes"),
-        )
-        .expect("install presized");
-        assert_eq!(
-            serde_json::to_string(a.log().events()).expect("json"),
-            serde_json::to_string(b.log().events()).expect("json"),
-        );
-        assert_eq!(a.log().now().to_bits(), b.log().now().to_bits());
-    }
-
-    #[test]
     fn installs_from_one_package_share_one_baseline_checkpoint() {
         let (deployment, _, _) = deployment();
         let wire = deployment.wire_bytes().expect("wire bytes");
@@ -1192,17 +1131,13 @@ mod tests {
             assert!(Arc::ptr_eq(&device.baseline.0, &shared));
             assert!(Arc::ptr_eq(&device.last_good.0, &shared));
         }
-        let mut own = EdgeDevice::install_presized(
-            DeviceProfile::wearable(),
-            &deployment,
-            &LinkModel::wifi(),
-            wire,
-        )
-        .expect("install");
+        let mut own =
+            EdgeDevice::install(DeviceProfile::wearable(), &deployment, &LinkModel::wifi())
+                .expect("install");
         let probe = Tensor::randn([6, FEATURE_DIM], 0.0, 1.0, &mut Rng64::new(3));
         assert_eq!(
-            a.classify_features(&probe).expect("classify"),
-            own.classify_features(&probe).expect("classify")
+            a.model_mut().predict(&probe).expect("classify"),
+            own.model_mut().predict(&probe).expect("classify")
         );
     }
 
@@ -1284,7 +1219,7 @@ mod tests {
         let raw = sim.raw_dataset(&[(Activity::Run, 25)]);
         let features = norm.transform(&extract_batch(&raw).expect("features")).expect("norm");
         let probe = features.clone();
-        let before = device.classify_features(&probe).expect("classify");
+        let before = device.model_mut().predict(&probe).expect("classify");
         let before_support = device.model_mut().support().clone();
         for i in 0..features.rows() {
             device.label_sample(Activity::Run.label(), Tensor::vector(features.row(i)));
@@ -1294,7 +1229,7 @@ mod tests {
             .expect("update");
         assert_eq!(status, UpdateStatus::RolledBack);
         // Exact rollback: same predictions, same exemplars, pending kept.
-        assert_eq!(device.classify_features(&probe).expect("classify"), before);
+        assert_eq!(device.model_mut().predict(&probe).expect("classify"), before);
         assert_eq!(*device.model_mut().support(), before_support);
         assert_eq!(device.pending_samples(), 25);
         assert_eq!(device.update_failures(), 1);
@@ -1314,7 +1249,7 @@ mod tests {
             device.label_sample(Activity::Run.label(), Tensor::vector(features.row(i)));
         }
         let probe = features.clone();
-        let baseline_preds = device.classify_features(&probe).expect("classify");
+        let baseline_preds = device.model_mut().predict(&probe).expect("classify");
         for failure in 1..=MAX_UPDATE_FAILURES {
             let status = device
                 .update_faulted(10, Some(pilote_core::UpdateStage::Trained))
@@ -1329,7 +1264,7 @@ mod tests {
         assert_eq!(device.pending_samples(), 0);
         assert_eq!(device.known_classes().len(), 2);
         // The degraded device still classifies with the pre-trained model.
-        assert_eq!(device.classify_features(&probe).expect("classify"), baseline_preds);
+        assert_eq!(device.model_mut().predict(&probe).expect("classify"), baseline_preds);
         assert!(device
             .log()
             .events()
@@ -1419,6 +1354,40 @@ mod tests {
         assert_eq!(batched.log().served_count(), features.rows() as u64);
         // The per-window device rebuilt once too: generation never moved.
         assert_eq!(single.cache_rebuilds(), 1);
+    }
+
+    /// `stream` and `serve_batch` share one serving call: streaming raw
+    /// windows yields exactly what `serve_batch` yields on the features
+    /// the stream extracted — labels and distance bits alike.
+    #[test]
+    fn stream_matches_serve_batch_on_the_same_features() {
+        let (deployment, mut sim, _) = deployment();
+        let link = LinkModel::wifi();
+        let install = || {
+            EdgeDevice::install(DeviceProfile::flagship_phone(), &deployment, &link)
+                .expect("install")
+        };
+        let (mut streamed, mut batched) = (install(), install());
+        let session = sim.session(Activity::Walk, 8);
+        let mut assembler = WindowAssembler::new(WINDOW_LEN, WINDOW_LEN, 1)
+            .with_normalizer(deployment.normalizer.clone());
+        let rows = assembler
+            .push_block(&session)
+            .expect("assemble")
+            .iter()
+            .map(|f| f.reshape([1, FEATURE_DIM]))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("rows");
+        let features = Tensor::vstack(&rows.iter().collect::<Vec<_>>()).expect("stack");
+
+        let a = streamed.stream(&session).expect("stream");
+        let b = batched.serve_batch(&features).expect("serve");
+        assert_eq!(a.len(), 8);
+        assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(x.predicted, y.predicted, "window {i}");
+            assert_eq!(x.distance.to_bits(), y.distance.to_bits(), "window {i}");
+        }
     }
 
     /// Cache coherence: every committed model change (update, rollback,

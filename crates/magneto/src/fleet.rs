@@ -34,12 +34,11 @@
 use crate::cloud::{Deployment, PackageError, ScenarioRollup, TelemetryRollup};
 use crate::edge::{EdgeDevice, EdgeError, InferenceOutcome, UpdateStatus};
 use crate::events::{EventKind, ExclusionReason, DEFAULT_EVENT_CAPACITY};
-use crate::federated::{federated_average, FederatedCoordinator};
+use crate::federated::federated_average;
 use crate::policy::{FleetPolicy, PolicyConfig, RepairAction, RolloutStage};
 use crate::wire::{self, CodecError, WireConfig};
-use pilote_core::{AdaptiveThresholds, QualityThresholds, TaskGroup};
+use pilote_core::{AdaptiveThresholds, QualityMonitor};
 use pilote_edge_sim::{DeviceProfile, LinkModel, WirePrecision};
-use pilote_har_data::Dataset;
 use pilote_nn::Checkpoint;
 use pilote_tensor::{parallel, Tensor};
 use serde::{Deserialize, Serialize};
@@ -108,13 +107,24 @@ struct FleetMember {
     base_round: u64,
 }
 
+impl FleetMember {
+    /// Charges `bytes` of wire traffic to this member's link — modeled
+    /// transfer time on its virtual clock — and to the fleet's running
+    /// `total` for that traffic class.
+    fn ship(&mut self, bytes: u64, total: &mut u64) {
+        self.device.advance_clock(self.link.transfer_seconds(bytes));
+        *total += bytes;
+    }
+}
+
 /// A deterministic multi-device deployment: routes user sessions to
 /// devices, serves them through the batched prototype-cache path, and
 /// interleaves local incremental updates with federated rounds.
 pub struct Fleet {
     members: Vec<FleetMember>,
-    coordinator: FederatedCoordinator,
     config: FleetConfig,
+    /// Federated rounds completed (a halted staged round does not count).
+    rounds_completed: usize,
     sessions_served: u64,
     windows_served: u64,
     /// Self-healing control loop ([`crate::policy`]), armed via
@@ -254,6 +264,48 @@ fn round_trip_upload(
     Ok((decoded, bytes))
 }
 
+/// Decoded uploads entering a FedAvg merge, each weighted by the
+/// uploader's support-set size.
+type Contributions = Vec<(Checkpoint, usize)>;
+
+/// The upload side of a federated round, shared by both round entry
+/// points: every member that `contributes(index)` admits and that holds a
+/// non-empty support set captures its parameters and ships them through
+/// [`round_trip_upload`]. Capture and codec fan out across shards — no
+/// kernel flops, so no span or clock moves; the caller charges the links
+/// serially. Returns the decoded contributions (weighted by support size,
+/// in device-index order) and each member's upload size, `None` for
+/// members that sent nothing.
+fn collect_uploads(
+    members: &mut [FleetMember],
+    base: Option<&Checkpoint>,
+    round: u64,
+    cfg: WireConfig,
+    contributes: &(impl Fn(usize) -> bool + Sync),
+) -> Result<(Contributions, Vec<Option<u64>>), EdgeError> {
+    let payloads = map_member_bands(members, &|index, member| {
+        let support = member.device.model_mut().support().len();
+        if !(contributes(index) && support > 0) {
+            return None;
+        }
+        let ckpt = Checkpoint::capture(member.device.model_mut().net_mut().layers_mut());
+        Some((round_trip_upload(&ckpt, base, round, member.base_round, cfg), support))
+    });
+    let mut contributions = Vec::new();
+    let mut upload_bytes = Vec::with_capacity(payloads.len());
+    for payload in payloads {
+        upload_bytes.push(match payload {
+            Some((result, support)) => {
+                let (decoded, bytes) = result.map_err(codec_package_error)?;
+                contributions.push((decoded, support));
+                Some(bytes)
+            }
+            None => None,
+        });
+    }
+    Ok((contributions, upload_bytes))
+}
+
 /// The download side of a federated round: the merged model encoded at
 /// most twice — the **canonical** payload current members receive (delta
 /// against the committed base when enabled) and the **full fallback**
@@ -261,69 +313,79 @@ fn round_trip_upload(
 /// installs decoded bits, and the canonical decode becomes the next
 /// committed base.
 struct RoundBroadcast {
-    cfg: WireConfig,
+    precision: WirePrecision,
     /// The round the canonical payload's delta references.
     round: u64,
     canonical_bytes: u64,
     canonical: Checkpoint,
     canonical_is_delta: bool,
-    /// `(bytes, decoded)` of the full fallback, built by
-    /// [`RoundBroadcast::ensure_full`] when some receiver is stale.
+    /// `(bytes, decoded)` of the full fallback, built only when some
+    /// receiver is stale.
     full: Option<(u64, Checkpoint)>,
-    /// The exact merged model, kept to encode the full fallback from.
-    merged: Checkpoint,
 }
 
 impl RoundBroadcast {
+    /// Averages `contributions` and encodes the merged model against the
+    /// committed `base` of `round`. `any_stale` says whether some receiver
+    /// holds a base other than `round`'s, and so needs the full fallback.
     fn new(
-        merged: Checkpoint,
+        contributions: &[(Checkpoint, usize)],
         base: Option<&Checkpoint>,
         round: u64,
         cfg: WireConfig,
-    ) -> Result<Self, CodecError> {
+        any_stale: bool,
+    ) -> Result<Self, EdgeError> {
+        let merged = federated_average(contributions)?;
         let (payload, canonical_is_delta) = match (cfg.delta, base) {
-            (true, Some(b)) => (wire::encode_round_delta(b, &merged, round, cfg.precision)?, true),
-            _ => (wire::encode_round_full(&merged, cfg.precision)?, false),
+            (true, Some(b)) => (wire::encode_round_delta(b, &merged, round, cfg.precision), true),
+            _ => (wire::encode_round_full(&merged, cfg.precision), false),
         };
-        let canonical = wire::decode_round(&payload, base.map(|b| (b, round)))?;
+        let payload = payload.map_err(codec_package_error)?;
+        let canonical =
+            wire::decode_round(&payload, base.map(|b| (b, round))).map_err(codec_package_error)?;
+        let full = if canonical_is_delta && any_stale {
+            let full = wire::encode_round_full(&merged, cfg.precision);
+            let full = full.map_err(codec_package_error)?;
+            let decoded = wire::decode_round(&full, None).map_err(codec_package_error)?;
+            Some((full.len() as u64, decoded))
+        } else {
+            None
+        };
         Ok(RoundBroadcast {
-            cfg,
+            precision: cfg.precision,
             round,
             canonical_bytes: payload.len() as u64,
             canonical,
             canonical_is_delta,
-            full: None,
-            merged,
+            full,
         })
     }
 
-    /// Builds the full fallback payload. Must be called before
-    /// [`RoundBroadcast::payload_for`] sees any stale member.
-    fn ensure_full(&mut self) -> Result<(), CodecError> {
-        if self.full.is_none() {
-            let payload = wire::encode_round_full(&self.merged, self.cfg.precision)?;
-            let decoded = wire::decode_round(&payload, None)?;
-            self.full = Some((payload.len() as u64, decoded));
-        }
-        Ok(())
-    }
-
-    /// `(bytes, checkpoint to install, becomes current)` for a member
-    /// whose committed round is `member_round`. A full-fallback receiver
-    /// only becomes current when the precision is lossless — at `F32`
-    /// both payloads decode to the same bits, while a quantised full
-    /// decode differs from the canonical one, so the member would not
-    /// hold the committed base and must keep falling back.
-    fn payload_for(&self, member_round: u64) -> (u64, &Checkpoint, bool) {
-        if !self.canonical_is_delta || member_round == self.round {
+    /// Ships `member` its payload — the canonical one when it is current,
+    /// the full fallback otherwise — and installs the decoded checkpoint
+    /// (the prototype refresh is not charged to the device clock). Returns
+    /// whether the member now holds the committed base: a full-fallback
+    /// receiver only does at lossless `F32`, where both payloads decode to
+    /// the same bits; a quantised full decode differs from the canonical
+    /// one, so that member must keep falling back.
+    fn install(
+        &self,
+        member: &mut FleetMember,
+        totals: &mut WireTotals,
+    ) -> Result<bool, EdgeError> {
+        let canonical = !self.canonical_is_delta || member.base_round == self.round;
+        let (bytes, ckpt, current) = if canonical {
             (self.canonical_bytes, &self.canonical, true)
         } else {
             let (bytes, decoded) = self
                 .full
                 .as_ref()
-                .expect("ensure_full is called before any stale member downloads");
-            (*bytes, decoded, self.cfg.precision == WirePrecision::F32)
-        }
+                .expect("the full fallback is built whenever a receiver is stale");
+            (*bytes, decoded, self.precision == WirePrecision::F32)
+        };
+        member.ship(bytes, &mut totals.federated_download_bytes);
+        member.device.restore_state(ckpt, None)?;
+        Ok(current)
     }
 }
 
@@ -371,64 +433,35 @@ fn map_member_bands<R: Send>(
     // (`min_parallel_len`) does not apply — only the configured thread
     // count gates the fan-out.
     let threads = parallel::current().num_threads.max(1).min(members.len());
-    if threads <= 1 || members.len() <= 1 {
-        return members.iter_mut().enumerate().map(|(i, m)| f(i, m)).collect();
-    }
-    let ranges = parallel::band_ranges(members.len(), threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len().saturating_sub(1));
-        let mut rest = members;
-        let mut first_band = None;
-        for (band_index, range) in ranges.iter().enumerate() {
-            let (band, tail) = rest.split_at_mut(range.end - range.start);
-            rest = tail;
-            let base = range.start;
-            if band_index == 0 {
-                first_band = Some((base, band));
-            } else {
-                handles.push(scope.spawn(move || {
-                    band.iter_mut()
-                        .enumerate()
-                        .map(|(j, m)| f(base + j, m))
-                        .collect::<Vec<R>>()
-                }));
-            }
+    let mut slots: Vec<(&mut FleetMember, Option<R>)> =
+        members.iter_mut().map(|member| (member, None)).collect();
+    parallel::for_each_band(&mut slots, 1, threads, |first, band| {
+        for (offset, (member, out)) in band.iter_mut().enumerate() {
+            *out = Some(f(first + offset, member));
         }
-        let (base, band) = first_band.expect("band_ranges returns at least one band");
-        let mut out: Vec<R> = band
-            .iter_mut()
-            .enumerate()
-            .map(|(j, m)| f(base + j, m))
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("fleet shard worker panicked"));
-        }
-        out
-    })
+    });
+    slots.into_iter().map(|(_, out)| out.expect("every band fills its slots")).collect()
 }
 
-/// One policy control step: inspects every device's not-yet-inspected
-/// quality reports (local update samples, prior install samples) in
-/// device-index order and escalates the repair ladder on any new
-/// triggering alert.
-fn control_step(
-    members: &mut [FleetMember],
+/// Judges a device's not-yet-inspected quality reports, marks them seen
+/// and, on a triggering alert, applies the next repair on the ladder.
+/// Shared by the policy control step and suspect screening.
+fn judge_and_repair(
+    member: &mut FleetMember,
     state: &mut PolicyState,
+    index: usize,
     totals: &mut WireTotals,
 ) -> Result<(), EdgeError> {
-    for (index, member) in members.iter_mut().enumerate() {
-        let reports = member.device.quality_reports();
-        let baseline = reports.first().map(|r| r.old_class_accuracy);
-        let trigger = state
-            .policy
-            .unseen_reports(index, reports)
-            .iter()
-            .find_map(|r| state.policy.judge(r, baseline));
-        let seen = member.device.quality_reports().len();
-        state.policy.mark_seen(index, seen);
-        if let Some(rule) = trigger {
-            apply_repair(member, state, index, &rule, totals)?;
-        }
+    let reports = member.device.quality_reports();
+    let baseline = reports.first().map(|r| r.old_class_accuracy);
+    let trigger = state
+        .policy
+        .unseen_reports(index, reports)
+        .iter()
+        .find_map(|r| state.policy.judge(r, baseline));
+    state.policy.mark_seen(index, reports.len());
+    if let Some(rule) = trigger {
+        apply_repair(member, state, index, &rule, totals)?;
     }
     Ok(())
 }
@@ -458,8 +491,7 @@ fn apply_repair(
     match action {
         RepairAction::Rollback => member.device.repair_rollback(strike)?,
         RepairAction::Reanchor => {
-            member.device.advance_clock(member.link.transfer_seconds(state.anchor_bytes));
-            totals.deploy_bytes += state.anchor_bytes;
+            member.ship(state.anchor_bytes, &mut totals.deploy_bytes);
             member.device.adopt_deployment(&state.anchor)?;
             // The re-install wiped the device's copy of the committed
             // broadcast: its next federated payload must be a full one.
@@ -475,6 +507,68 @@ fn apply_repair(
     Ok(())
 }
 
+/// The canary → cohort → fleet install both policied broadcasts share
+/// (a staged federated round and a staged deployment rollout). Each
+/// stage covers the members the policy lets receive: it snapshots each
+/// one and runs `install` on it, then samples every member's quality
+/// monitor and counts triggering alerts. When the stage's alert rate
+/// exceeds its baseline the stage halts: its members are install
+/// *victims*, so each is restored exactly, logs `RolloutHalted`, and has
+/// its reports consumed so the next control step does not quarantine it
+/// for the broadcast's mistake. Later stages then never run.
+///
+/// Returns the members of every completed stage, in stage order, and
+/// whether a stage halted.
+fn staged_install(
+    members: &mut [FleetMember],
+    policy: &mut FleetPolicy,
+    mut install: impl FnMut(usize, &mut FleetMember) -> Result<(), EdgeError>,
+) -> Result<(Vec<usize>, bool), EdgeError> {
+    let mut adopted = Vec::new();
+    for stage in RolloutStage::ALL {
+        let indices: Vec<usize> = policy
+            .plan()
+            .stage(stage)
+            .iter()
+            .copied()
+            .filter(|&i| policy.receives(i))
+            .collect();
+        if indices.is_empty() {
+            continue;
+        }
+        let mut snapshots = Vec::with_capacity(indices.len());
+        for &i in &indices {
+            snapshots.push(members[i].device.policy_snapshot());
+            install(i, &mut members[i])?;
+        }
+        let mut alerts = 0u64;
+        for &i in &indices {
+            let device = &mut members[i].device;
+            let before = device.quality_reports().len();
+            device.sample_quality()?;
+            alerts += device.quality_reports()[before..]
+                .iter()
+                .filter(|r| FleetPolicy::triggering_alert(r).is_some())
+                .count() as u64;
+        }
+        if policy.stage_completed(stage, indices.len(), alerts) {
+            for (&i, snap) in indices.iter().zip(snapshots) {
+                let device = &mut members[i].device;
+                device.policy_restore(snap)?;
+                device.record_event(EventKind::RolloutHalted {
+                    stage: stage.name().to_string(),
+                    alerts,
+                    stage_size: indices.len(),
+                });
+                policy.mark_seen(i, device.quality_reports().len());
+            }
+            return Ok((adopted, true));
+        }
+        adopted.extend_from_slice(&indices);
+    }
+    Ok((adopted, false))
+}
+
 impl Fleet {
     /// Deploys the same cloud package onto every `(profile, link)` slot,
     /// charging each device's install download on its own link.
@@ -483,42 +577,9 @@ impl Fleet {
         deployment: &Deployment,
         config: FleetConfig,
     ) -> Result<Fleet, EdgeError> {
-        assert!(!slots.is_empty(), "a fleet needs at least one device");
-        assert!(config.serve_chunk > 0, "serve_chunk must be positive");
         let span = pilote_obs::span("fleet.deploy");
         span.annotate("devices", slots.len() as f64);
-        // The package is identical for every device: encode and decode it
-        // once at the configured precision and let every install share the
-        // decoded package, its exact wire size and one baseline checkpoint.
-        let (package, wire) = package_for_wire(deployment, config.wire.precision)?;
-        let baseline = Arc::new(package.checkpoint.clone());
-        let members = slots
-            .into_iter()
-            .map(|(profile, link)| {
-                let mut device = EdgeDevice::install_sharing(
-                    profile,
-                    &package,
-                    &link,
-                    wire,
-                    Arc::clone(&baseline),
-                )?;
-                device.set_event_capacity(config.event_capacity);
-                Ok(FleetMember { device, link, updates_completed: 0, base_round: 0 })
-            })
-            .collect::<Result<Vec<_>, EdgeError>>()?;
-        drop(span);
-        let deploy_bytes = wire * members.len() as u64;
-        Ok(Fleet {
-            members,
-            coordinator: FederatedCoordinator::new(),
-            config,
-            sessions_served: 0,
-            windows_served: 0,
-            policy: None,
-            round: 0,
-            base: Some(package.checkpoint),
-            wire_totals: WireTotals { deploy_bytes, ..WireTotals::default() },
-        })
+        Self::install_roster(&slots, deployment, config, 1)
     }
 
     /// [`Fleet::deploy`] with the install fan-out sharded across worker
@@ -538,13 +599,26 @@ impl Fleet {
         deployment: &Deployment,
         config: FleetConfig,
     ) -> Result<Fleet, EdgeError> {
-        assert!(!slots.is_empty(), "a fleet needs at least one device");
-        assert!(config.serve_chunk > 0, "serve_chunk must be positive");
         // Installs are coarse-grained; gate only on the configured thread
         // count, not the kernel layer's scalar-op threshold.
         let threads = parallel::current().num_threads.max(1).min(slots.len());
-        // One encode/decode for the whole roster — the package, and the
-        // baseline checkpoint every device keeps, are shared.
+        Self::install_roster(&slots, deployment, config, threads)
+    }
+
+    /// Installs one package on every slot in `threads` contiguous
+    /// device-index bands (one band runs inline on the calling thread)
+    /// and assembles the fleet in band order. The package is identical
+    /// for every device: it is encoded and decoded once at the configured
+    /// precision, and every install shares the decoded package, its exact
+    /// wire size and one baseline checkpoint.
+    fn install_roster(
+        slots: &[(DeviceProfile, LinkModel)],
+        deployment: &Deployment,
+        config: FleetConfig,
+        threads: usize,
+    ) -> Result<Fleet, EdgeError> {
+        assert!(!slots.is_empty(), "a fleet needs at least one device");
+        assert!(config.serve_chunk > 0, "serve_chunk must be positive");
         let (package, wire) = package_for_wire(deployment, config.wire.precision)?;
         let baseline = Arc::new(package.checkpoint.clone());
         let bands = parallel::map_bands(slots.len(), threads, |range| {
@@ -570,8 +644,8 @@ impl Fleet {
         let deploy_bytes = wire * members.len() as u64;
         Ok(Fleet {
             members,
-            coordinator: FederatedCoordinator::new(),
             config,
+            rounds_completed: 0,
             sessions_served: 0,
             windows_served: 0,
             policy: None,
@@ -609,7 +683,7 @@ impl Fleet {
 
     /// Federated rounds completed so far.
     pub fn federated_rounds(&self) -> usize {
-        self.coordinator.rounds()
+        self.rounds_completed
     }
 
     /// Committed broadcast round — the generation delta payloads
@@ -646,17 +720,7 @@ impl Fleet {
         let outcomes =
             serve_chunked(&mut self.members[index].device, features, self.config.serve_chunk)?;
         drop(span);
-        self.sessions_served += 1;
-        self.windows_served += features.rows() as u64;
-        if pilote_obs::enabled() {
-            pilote_obs::counter("fleet.sessions").inc();
-            pilote_obs::counter("fleet.windows_served").add(features.rows() as u64);
-        }
-        if self.config.federated_every > 0
-            && self.sessions_served.is_multiple_of(self.config.federated_every as u64)
-        {
-            self.federated_round()?;
-        }
+        self.count_served(1, features.rows() as u64)?;
         Ok(outcomes)
     }
 
@@ -718,23 +782,31 @@ impl Fleet {
                 .iter()
                 .map(|(_, features)| features.rows() as u64)
                 .sum();
-            self.sessions_served += group as u64;
-            self.windows_served += group_windows;
-            if pilote_obs::enabled() {
-                pilote_obs::counter("fleet.sessions").add(group as u64);
-                pilote_obs::counter("fleet.windows_served").add(group_windows);
-            }
-            if self.config.federated_every > 0
-                && self.sessions_served.is_multiple_of(self.config.federated_every as u64)
-            {
-                self.federated_round()?;
-            }
+            self.count_served(group as u64, group_windows)?;
             next += group;
         }
         Ok(results
             .into_iter()
             .map(|r| r.expect("every session is served by its routed device"))
             .collect())
+    }
+
+    /// Counts `sessions` served sessions holding `windows` windows in
+    /// all, then runs any federated round the session schedule now owes
+    /// ([`FleetConfig::federated_every`]).
+    fn count_served(&mut self, sessions: u64, windows: u64) -> Result<(), EdgeError> {
+        self.sessions_served += sessions;
+        self.windows_served += windows;
+        if pilote_obs::enabled() {
+            pilote_obs::counter("fleet.sessions").add(sessions);
+            pilote_obs::counter("fleet.windows_served").add(windows);
+        }
+        if self.config.federated_every > 0
+            && self.sessions_served.is_multiple_of(self.config.federated_every as u64)
+        {
+            self.federated_round()?;
+        }
+        Ok(())
     }
 
     /// Buffers one labelled feature vector on the user's routed device
@@ -787,65 +859,35 @@ impl Fleet {
         }
         let span = pilote_obs::span("fleet.federated_round");
         span.annotate("devices", self.members.len() as f64);
-        let cfg = self.config.wire;
         let round = self.round;
         let base = self.base.as_ref();
-        // Capture + encode + coordinator-side decode fan out across
-        // shards — no kernel flops, so neither the open span nor any
-        // clock moves — while every clock charge lands serially in
-        // device-index order below.
-        let payloads = map_member_bands(&mut self.members, &|_, member| {
-            let support = member.device.model_mut().support().len();
-            if support == 0 {
-                return (None, support);
-            }
-            let ckpt = Checkpoint::capture(member.device.model_mut().net_mut().layers_mut());
-            (Some(round_trip_upload(&ckpt, base, round, member.base_round, cfg)), support)
-        });
-        let mut contributions = Vec::new();
-        let mut upload_bytes: Vec<Option<u64>> = Vec::with_capacity(self.members.len());
-        for (upload, support) in payloads {
-            match upload {
-                Some(result) => {
-                    let (decoded, bytes) = result.map_err(codec_package_error)?;
-                    contributions.push((decoded, support));
-                    upload_bytes.push(Some(bytes));
-                }
-                None => upload_bytes.push(None),
-            }
-        }
+        let (contributions, upload_bytes) =
+            collect_uploads(&mut self.members, base, round, self.config.wire, &|_| true)?;
         let participants = contributions.len();
-        let merged = federated_average(&contributions)?;
-        let mut broadcast =
-            RoundBroadcast::new(merged, base, round, cfg).map_err(codec_package_error)?;
-        if broadcast.canonical_is_delta && self.members.iter().any(|m| m.base_round != round) {
-            broadcast.ensure_full().map_err(codec_package_error)?;
-        }
+        let any_stale = self.members.iter().any(|m| m.base_round != round);
+        let broadcast =
+            RoundBroadcast::new(&contributions, base, round, self.config.wire, any_stale)?;
+        // Every clock charge lands serially in device-index order.
         let new_round = round + 1;
-        for (index, member) in self.members.iter_mut().enumerate() {
-            if let Some(bytes) = upload_bytes[index] {
-                member.device.advance_clock(member.link.transfer_seconds(bytes));
-                self.wire_totals.federated_upload_bytes += bytes;
+        for (member, upload) in self.members.iter_mut().zip(upload_bytes) {
+            if let Some(bytes) = upload {
+                member.ship(bytes, &mut self.wire_totals.federated_upload_bytes);
             }
-            let (down, ckpt, current) = broadcast.payload_for(member.base_round);
-            member.device.advance_clock(member.link.transfer_seconds(down));
-            self.wire_totals.federated_download_bytes += down;
-            ckpt.restore(member.device.model_mut().net_mut().layers_mut())?;
-            member.device.model_mut().refresh_prototypes()?;
-            if upload_bytes[index].is_none() {
+            let current = broadcast.install(member, &mut self.wire_totals)?;
+            if upload.is_none() {
                 member.device.record_event(EventKind::FederatedExcluded {
                     participants,
                     reason: ExclusionReason::ZeroSupport,
                 });
             }
-            member.device.note_federated_round(participants);
+            member.device.record_event(EventKind::FederatedRound { participants });
             if current {
                 member.base_round = new_round;
             }
         }
         self.base = Some(broadcast.canonical);
         self.round = new_round;
-        self.coordinator.note_round();
+        self.rounds_completed += 1;
         // The round installed merged parameters everywhere (generation
         // bumped), so armed quality monitors must sample the new model.
         for member in &mut self.members {
@@ -905,50 +947,35 @@ impl Fleet {
     /// no spans or kernel flops), so the round is byte-identical across
     /// runs and `PILOTE_THREADS` settings.
     fn staged_federated_round(&mut self) -> Result<(), EdgeError> {
-        let Fleet { members, coordinator, policy, config, round, base, wire_totals, .. } = self;
+        let Fleet { members, rounds_completed, policy, config, round, base, wire_totals, .. } =
+            self;
         let state = policy.as_mut().expect("staged round requires an enabled policy");
         let span = pilote_obs::span("fleet.staged_round");
         span.annotate("devices", members.len() as f64);
 
-        // 1. Control step: quarantine/repair on any new triggering alert.
-        control_step(members, state, wire_totals)?;
+        // 1. Control step: inspect every device's not-yet-inspected
+        //    quality reports (local update samples, prior install samples)
+        //    and quarantine/repair on any new triggering alert.
+        for (index, member) in members.iter_mut().enumerate() {
+            judge_and_repair(member, state, index, wire_totals)?;
+        }
 
         // 2. Collect contributions — healthy devices with non-empty
-        //    support, captured BEFORE any install — each encoded through
-        //    the wire codec (delta against the committed base when the
-        //    member is current) and decoded back: the decoded checkpoint
-        //    is what enters the average.
-        let cfg = config.wire;
+        //    support, captured BEFORE any install — each shipped through
+        //    the wire codec and decoded back.
         let committed = *round;
-        let base_ref = base.as_ref();
         let policy_ref = &state.policy;
-        let payloads = map_member_bands(members, &|index, member| {
-            let support = member.device.model_mut().support().len();
-            if !(policy_ref.contributes(index) && support > 0) {
-                return (None, support);
-            }
-            let ckpt = Checkpoint::capture(member.device.model_mut().net_mut().layers_mut());
-            (
-                Some(round_trip_upload(&ckpt, base_ref, committed, member.base_round, cfg)),
-                support,
-            )
-        });
-        let mut contributions = Vec::new();
-        let mut contributing = vec![false; members.len()];
-        let mut upload_bytes = vec![0u64; members.len()];
-        for (index, (upload, support)) in payloads.into_iter().enumerate() {
-            if let Some(result) = upload {
-                let (decoded, bytes) = result.map_err(codec_package_error)?;
-                contributing[index] = true;
-                upload_bytes[index] = bytes;
-                contributions.push((decoded, support));
-            }
-        }
+        let (contributions, upload_bytes) = collect_uploads(
+            members,
+            base.as_ref(),
+            committed,
+            config.wire,
+            &|i| policy_ref.contributes(i),
+        )?;
         let participants = contributions.len();
         for (index, member) in members.iter_mut().enumerate() {
-            if contributing[index] {
-                member.device.advance_clock(member.link.transfer_seconds(upload_bytes[index]));
-                wire_totals.federated_upload_bytes += upload_bytes[index];
+            if let Some(bytes) = upload_bytes[index] {
+                member.ship(bytes, &mut wire_totals.federated_upload_bytes);
             } else {
                 // Typed exclusion: a healthy-but-empty device skipped for
                 // zero support, everyone else because the policy holds it
@@ -962,109 +989,43 @@ impl Fleet {
                 member.device.record_event(EventKind::FederatedExcluded { participants, reason });
             }
         }
-        let merged = federated_average(&contributions)?;
-        let mut broadcast = RoundBroadcast::new(merged, base.as_ref(), committed, cfg)
-            .map_err(codec_package_error)?;
-        if broadcast.canonical_is_delta
-            && members
-                .iter()
-                .enumerate()
-                .any(|(i, m)| state.policy.receives(i) && m.base_round != committed)
-        {
-            broadcast.ensure_full().map_err(codec_package_error)?;
-        }
+        let any_stale = members
+            .iter()
+            .enumerate()
+            .any(|(i, m)| state.policy.receives(i) && m.base_round != committed);
+        let broadcast =
+            RoundBroadcast::new(&contributions, base.as_ref(), committed, config.wire, any_stale)?;
 
-        // 3. Staged install: canary → cohort → fleet, halting (and
-        //    restoring the stage) when the stage's triggering-alert rate
-        //    exceeds its historical baseline. Every install is the
-        //    **decoded** broadcast payload for that member — delta for
+        // 3. Staged install of the decoded broadcast payload — delta for
         //    current members, the full fallback for stale ones.
         let mut installed_current = vec![false; members.len()];
-        for stage in RolloutStage::ALL {
-            let indices: Vec<usize> = state
-                .policy
-                .plan()
-                .stage(stage)
-                .iter()
-                .copied()
-                .filter(|&i| state.policy.receives(i))
-                .collect();
-            if indices.is_empty() {
-                continue;
-            }
-            let mut snapshots = Vec::with_capacity(indices.len());
-            for &i in &indices {
-                let member = &mut members[i];
-                snapshots.push(member.device.policy_snapshot());
-                let (down, ckpt, current) = broadcast.payload_for(member.base_round);
-                member.device.advance_clock(member.link.transfer_seconds(down));
-                wire_totals.federated_download_bytes += down;
-                ckpt.restore(member.device.model_mut().net_mut().layers_mut())?;
-                member.device.model_mut().refresh_prototypes()?;
-                member.device.note_federated_round(participants);
-                installed_current[i] = current;
-            }
-            let mut alerts = 0u64;
-            for &i in &indices {
-                let before = members[i].device.quality_reports().len();
-                members[i].device.sample_quality()?;
-                let reports = members[i].device.quality_reports();
-                alerts += reports[before..]
-                    .iter()
-                    .filter(|r| FleetPolicy::triggering_alert(r).is_some())
-                    .count() as u64;
-            }
-            if state.policy.stage_completed(stage, indices.len(), alerts) {
-                // Halt: the stage's devices are install *victims* — put
-                // them back exactly and consume their reports so the next
-                // control step does not quarantine them for our mistake.
-                for (&i, snap) in indices.iter().zip(snapshots) {
-                    let member = &mut members[i];
-                    member.device.policy_restore(snap)?;
-                    member.device.record_event(EventKind::RolloutHalted {
-                        stage: stage.name().to_string(),
-                        alerts,
-                        stage_size: indices.len(),
-                    });
-                    let seen = member.device.quality_reports().len();
-                    state.policy.mark_seen(i, seen);
+        let (_, halted) = staged_install(members, &mut state.policy, |i, member| {
+            installed_current[i] = broadcast.install(member, wire_totals)?;
+            member.device.record_event(EventKind::FederatedRound { participants });
+            Ok(())
+        })?;
+        if halted {
+            // Suspect screening: sample every contributor. The monitor
+            // gates on generation, so a healthy contributor (sampled at
+            // its last commit) yields nothing, while a silently poisoned
+            // one — generation moved without a sample — now gets judged
+            // and quarantined. Judging includes the absolute screening
+            // floor: a culprit that sat *inside* the halted stage was just
+            // restored to its own poisoned snapshot, so its incremental
+            // forgetting is zero, but its accuracy against the armed
+            // baseline is not.
+            for (index, member) in members.iter_mut().enumerate() {
+                if upload_bytes[index].is_some() {
+                    member.device.sample_quality()?;
+                    judge_and_repair(member, state, index, wire_totals)?;
                 }
-                // Suspect screening: sample every contributor. The
-                // monitor gates on generation, so a healthy contributor
-                // (sampled at its last commit) yields nothing, while a
-                // silently poisoned one — generation moved without a
-                // sample — now gets judged and quarantined. Judging
-                // includes the absolute screening floor: a culprit that
-                // sat *inside* the halted stage was just restored to its
-                // own poisoned snapshot, so its incremental forgetting is
-                // zero, but its accuracy against the armed baseline is
-                // not.
-                for index in 0..members.len() {
-                    if !contributing[index] {
-                        continue;
-                    }
-                    members[index].device.sample_quality()?;
-                    let member = &mut members[index];
-                    let reports = member.device.quality_reports();
-                    let baseline = reports.first().map(|r| r.old_class_accuracy);
-                    let trigger = state
-                        .policy
-                        .unseen_reports(index, reports)
-                        .iter()
-                        .find_map(|r| state.policy.judge(r, baseline));
-                    let seen = member.device.quality_reports().len();
-                    state.policy.mark_seen(index, seen);
-                    if let Some(rule) = trigger {
-                        apply_repair(member, state, index, &rule, wire_totals)?;
-                    }
-                }
-                state.policy.note_halted_round();
-                drop(span);
-                if pilote_obs::enabled() {
-                    pilote_obs::counter("fleet.policy.halted_rounds").inc();
-                }
-                return Ok(());
             }
+            state.policy.note_halted_round();
+            drop(span);
+            if pilote_obs::enabled() {
+                pilote_obs::counter("fleet.policy.halted_rounds").inc();
+            }
+            return Ok(());
         }
 
         // 4. All stages completed: commit the decoded broadcast as the
@@ -1074,14 +1035,14 @@ impl Fleet {
         //    members keep falling back until a lossless install catches
         //    them up.
         let new_round = committed + 1;
-        for (index, member) in members.iter_mut().enumerate() {
-            if installed_current[index] {
+        for (member, current) in members.iter_mut().zip(installed_current) {
+            if current {
                 member.base_round = new_round;
             }
         }
         *round = new_round;
         *base = Some(broadcast.canonical);
-        coordinator.note_round();
+        *rounds_completed += 1;
         for (index, strikes) in state.policy.finish_round() {
             members[index].device.record_event(EventKind::QuarantineLifted { strikes });
         }
@@ -1109,12 +1070,15 @@ impl Fleet {
         // holds exactly those bits.
         let (package, wire) = package_for_wire(deployment, self.config.wire.precision)?;
         let Fleet { members, policy, round, base, wire_totals, .. } = self;
+        let mut install = |member: &mut FleetMember| -> Result<(), EdgeError> {
+            member.ship(wire, &mut wire_totals.deploy_bytes);
+            member.device.adopt_deployment(&package)?;
+            member.device.record_event(EventKind::Deployed { payload_bytes: wire });
+            Ok(())
+        };
         let Some(state) = policy.as_mut() else {
             for member in members.iter_mut() {
-                member.device.advance_clock(member.link.transfer_seconds(wire));
-                wire_totals.deploy_bytes += wire;
-                member.device.adopt_deployment(&package)?;
-                member.device.record_event(EventKind::Deployed { payload_bytes: wire });
+                install(member)?;
                 member.device.sample_quality()?;
             }
             *round += 1;
@@ -1126,64 +1090,21 @@ impl Fleet {
         };
         let span = pilote_obs::span("fleet.rollout");
         span.annotate("devices", members.len() as f64);
-        // Devices from *completed* stages keep the new package when a
-        // later stage halts: the rollout never commits, so their copy of
-        // the committed broadcast is gone and their next federated
-        // payload must be a full one.
-        let mut adopted: Vec<usize> = Vec::new();
-        for stage in RolloutStage::ALL {
-            let indices: Vec<usize> = state
-                .policy
-                .plan()
-                .stage(stage)
-                .iter()
-                .copied()
-                .filter(|&i| state.policy.receives(i))
-                .collect();
-            if indices.is_empty() {
-                continue;
+        let (adopted, halted) =
+            staged_install(members, &mut state.policy, |_, member| install(member))?;
+        if halted {
+            // Devices from *completed* stages keep the new package: the
+            // rollout never commits, so their copy of the committed
+            // broadcast is gone and their next federated payload must be
+            // a full one.
+            for &i in &adopted {
+                members[i].base_round = STALE_ROUND;
             }
-            let mut snapshots = Vec::with_capacity(indices.len());
-            for &i in &indices {
-                let member = &mut members[i];
-                snapshots.push(member.device.policy_snapshot());
-                member.device.advance_clock(member.link.transfer_seconds(wire));
-                wire_totals.deploy_bytes += wire;
-                member.device.adopt_deployment(&package)?;
-                member.device.record_event(EventKind::Deployed { payload_bytes: wire });
+            drop(span);
+            if pilote_obs::enabled() {
+                pilote_obs::counter("fleet.policy.halted_rollouts").inc();
             }
-            let mut alerts = 0u64;
-            for &i in &indices {
-                let before = members[i].device.quality_reports().len();
-                members[i].device.sample_quality()?;
-                let reports = members[i].device.quality_reports();
-                alerts += reports[before..]
-                    .iter()
-                    .filter(|r| FleetPolicy::triggering_alert(r).is_some())
-                    .count() as u64;
-            }
-            if state.policy.stage_completed(stage, indices.len(), alerts) {
-                for (&i, snap) in indices.iter().zip(snapshots) {
-                    let member = &mut members[i];
-                    member.device.policy_restore(snap)?;
-                    member.device.record_event(EventKind::RolloutHalted {
-                        stage: stage.name().to_string(),
-                        alerts,
-                        stage_size: indices.len(),
-                    });
-                    let seen = member.device.quality_reports().len();
-                    state.policy.mark_seen(i, seen);
-                }
-                for &i in &adopted {
-                    members[i].base_round = STALE_ROUND;
-                }
-                drop(span);
-                if pilote_obs::enabled() {
-                    pilote_obs::counter("fleet.policy.halted_rollouts").inc();
-                }
-                return Ok(false);
-            }
-            adopted.extend_from_slice(&indices);
+            return Ok(false);
         }
         // The fleet now runs the new package everywhere: it becomes the
         // re-anchor target and the new federated delta base. Held-out
@@ -1203,45 +1124,40 @@ impl Fleet {
         Ok(true)
     }
 
-    /// Arms a [`pilote_core::QualityMonitor`] with the same probe set and
-    /// thresholds on every device, in device-index order. Each monitor
-    /// takes its baseline measurement immediately and then samples at
-    /// every later generation bump (updates, rollbacks, degradations and
-    /// federated installs), raising [`crate::events::EventKind::AlertRaised`]
-    /// events into the device log.
-    pub fn arm_quality_monitors(
-        &mut self,
-        probe: &Dataset,
-        old_labels: &[usize],
-        thresholds: QualityThresholds,
-    ) -> Result<(), EdgeError> {
+    /// Arms a clone of `monitor` on every device, in device-index order.
+    /// Each clone takes its baseline measurement immediately and then
+    /// samples at every later generation bump (updates, rollbacks,
+    /// degradations and federated installs), raising
+    /// [`crate::events::EventKind::AlertRaised`] events into the device
+    /// log. A monitor built with [`QualityMonitor::with_session_tasks`]
+    /// also records a session × task matrix on every device (the baseline
+    /// taken here is row 0), collected fleet-wide by
+    /// [`Fleet::session_matrix_rollup`].
+    pub fn arm_quality_monitors(&mut self, monitor: &QualityMonitor) -> Result<(), EdgeError> {
         for member in &mut self.members {
-            member
-                .device
-                .arm_quality_monitor(probe.clone(), old_labels, thresholds)?;
+            member.device.arm_quality_monitor(monitor.clone())?;
         }
         Ok(())
     }
 
-    /// [`Fleet::arm_quality_monitors`] plus session-matrix recording on
-    /// every device: each monitor also stamps one row of a session × task
-    /// [`pilote_core::AccuracyMatrix`] per observation (the baseline taken
-    /// here is row 0), collected fleet-wide by
-    /// [`Fleet::session_matrix_rollup`].
-    pub fn arm_quality_monitors_with_sessions(
+    /// The link-charged fan-in every telemetry upload shares: `payload`
+    /// builds each device's `(payload, wire bytes)` — `None` ships
+    /// nothing — fanned out across shards (no kernel flops, so neither an
+    /// open span nor any clock changes). Then, serially in device-index
+    /// order, each payload's bytes are charged to its member's link and
+    /// `merge` folds the payload in, which keeps gauge last-write-wins and
+    /// merge errors identical to the serial walk.
+    fn fan_in<P: Send, E>(
         &mut self,
-        probe: &Dataset,
-        old_labels: &[usize],
-        thresholds: QualityThresholds,
-        tasks: &[TaskGroup],
-    ) -> Result<(), EdgeError> {
-        for member in &mut self.members {
-            member.device.arm_quality_monitor_with_sessions(
-                probe.clone(),
-                old_labels,
-                thresholds,
-                tasks.to_vec(),
-            )?;
+        payload: &(impl Fn(&mut EdgeDevice) -> Option<(P, u64)> + Sync),
+        mut merge: impl FnMut(P) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let payloads = map_member_bands(&mut self.members, &|_, m| payload(&mut m.device));
+        for (member, shipped) in self.members.iter_mut().zip(payloads) {
+            if let Some((p, bytes)) = shipped {
+                member.ship(bytes, &mut self.wire_totals.telemetry_bytes);
+                merge(p)?;
+            }
         }
         Ok(())
     }
@@ -1265,22 +1181,15 @@ impl Fleet {
     pub fn telemetry_rollup(&mut self) -> Result<TelemetryRollup, EdgeError> {
         let span = pilote_obs::span("fleet.telemetry_rollup");
         span.annotate("devices", self.members.len() as f64);
-        // Snapshot + wire sizing fan out across shards (no kernel flops,
-        // so neither the span nor any clock changes); the clock charges
-        // and the rollup merge run serially in device-index order, which
-        // keeps gauge last-write-wins and histogram-bounds errors
-        // identical to the serial walk.
-        let payloads = map_member_bands(&mut self.members, &|_, member| {
-            let snapshot = member.device.telemetry_snapshot();
-            let bytes = wire::snapshot_wire_bytes(&snapshot);
-            (snapshot, bytes)
-        });
         let mut rollup = TelemetryRollup::new();
-        for (member, (snapshot, bytes)) in self.members.iter_mut().zip(payloads) {
-            member.device.advance_clock(member.link.transfer_seconds(bytes));
-            self.wire_totals.telemetry_bytes += bytes;
-            rollup.merge_snapshot(&snapshot)?;
-        }
+        self.fan_in(
+            &|device| {
+                let snapshot = device.telemetry_snapshot();
+                let bytes = wire::snapshot_wire_bytes(&snapshot);
+                Some((snapshot, bytes))
+            },
+            |snapshot| rollup.merge_snapshot(&snapshot),
+        )?;
         drop(span);
         if pilote_obs::enabled() {
             pilote_obs::counter("fleet.telemetry_rollups").inc();
@@ -1310,16 +1219,14 @@ impl Fleet {
         &mut self,
         rollup: &mut TelemetryRollup,
     ) -> Result<(), EdgeError> {
-        let payloads = map_member_bands(&mut self.members, &|_, member| {
-            let delta = member.device.telemetry_delta();
-            let bytes = wire::snapshot_wire_bytes(&delta);
-            (delta, bytes)
-        });
-        for (member, (delta, bytes)) in self.members.iter_mut().zip(payloads) {
-            member.device.advance_clock(member.link.transfer_seconds(bytes));
-            self.wire_totals.telemetry_bytes += bytes;
-            rollup.merge_snapshot(&delta)?;
-        }
+        self.fan_in(
+            &|device| {
+                let delta = device.telemetry_delta();
+                let bytes = wire::snapshot_wire_bytes(&delta);
+                Some((delta, bytes))
+            },
+            |delta| rollup.merge_snapshot(&delta),
+        )?;
         if pilote_obs::enabled() {
             pilote_obs::counter("fleet.telemetry_uploads").inc();
         }
@@ -1333,27 +1240,25 @@ impl Fleet {
     /// contract as [`Fleet::telemetry_rollup`], so the fleet curves are
     /// byte-identical across runs and `PILOTE_THREADS` settings.
     ///
-    /// Devices without session recording (armed via
-    /// [`Fleet::arm_quality_monitors`] or not at all) ship nothing and are
-    /// skipped. Unlike telemetry snapshots, matrices are device
+    /// Devices without session recording (monitors built without
+    /// [`QualityMonitor::with_session_tasks`], or none armed) ship nothing
+    /// and are skipped. Unlike telemetry snapshots, matrices are device
     /// *behaviour* records fed by the always-on quality monitor, so the
     /// `PILOTE_OBS` kill switch does not empty them.
     pub fn session_matrix_rollup(&mut self) -> ScenarioRollup {
         let span = pilote_obs::span("fleet.session_matrix_rollup");
         span.annotate("devices", self.members.len() as f64);
-        let payloads = map_member_bands(&mut self.members, &|_, member| {
-            member.device.session_matrix().map(|matrix| {
-                let bytes = wire::session_matrix_wire_bytes(matrix);
-                (matrix.clone(), bytes)
-            })
-        });
         let mut rollup = ScenarioRollup::new();
-        for (member, payload) in self.members.iter_mut().zip(payloads) {
-            let Some((matrix, bytes)) = payload else { continue };
-            member.device.advance_clock(member.link.transfer_seconds(bytes));
-            self.wire_totals.telemetry_bytes += bytes;
-            rollup.merge_matrix(&matrix);
-        }
+        let Ok(()) = self.fan_in(
+            &|device| {
+                let matrix = device.session_matrix()?;
+                Some((matrix.clone(), wire::session_matrix_wire_bytes(matrix)))
+            },
+            |matrix| {
+                rollup.merge_matrix(&matrix);
+                Ok::<_, std::convert::Infallible>(())
+            },
+        );
         drop(span);
         if pilote_obs::enabled() {
             pilote_obs::counter("fleet.session_matrix_rollups").inc();
@@ -1380,7 +1285,7 @@ impl Fleet {
             devices,
             sessions: self.sessions_served,
             windows: self.windows_served,
-            federated_rounds: self.coordinator.rounds(),
+            federated_rounds: self.rounds_completed,
         }
     }
 }
@@ -1390,7 +1295,7 @@ impl std::fmt::Debug for Fleet {
         f.debug_struct("Fleet")
             .field("devices", &self.members.len())
             .field("sessions", &self.sessions_served)
-            .field("federated_rounds", &self.coordinator.rounds())
+            .field("federated_rounds", &self.rounds_completed)
             .finish()
     }
 }
@@ -1401,7 +1306,8 @@ mod tests {
     use crate::cloud::CloudServer;
     use crate::events::EventKind;
     use crate::policy::DeviceHealth;
-    use pilote_core::PiloteConfig;
+    use pilote_core::{PiloteConfig, QualityThresholds};
+    use pilote_har_data::Dataset;
     use pilote_har_data::dataset::generate_features;
     use pilote_har_data::features::extract_batch;
     use pilote_har_data::preprocess::Normalizer;
@@ -1590,7 +1496,7 @@ mod tests {
         let probe = probe_set(&mut sim, &norm);
         let old = [Activity::Still.label(), Activity::Walk.label()];
         fleet
-            .arm_quality_monitors(&probe, &old, QualityThresholds::default())
+            .arm_quality_monitors(&QualityMonitor::new(probe, &old, QualityThresholds::default()))
             .expect("arm");
         for i in 0..fleet.len() {
             assert_eq!(fleet.device(i).quality_reports().len(), 1, "device {i} baseline");
@@ -1650,6 +1556,75 @@ mod tests {
             delta_time < full_time,
             "delta rounds must cost less total link time: {delta_time} vs {full_time}"
         );
+    }
+
+    fn param_bits(ckpt: &Checkpoint) -> Vec<u32> {
+        ckpt.params.iter().flat_map(|p| p.as_slice().iter().map(|v| v.to_bits())).collect()
+    }
+
+    /// A member whose support set is empty uploads nothing: the merge is
+    /// bitwise the support-weighted average of the other members, yet the
+    /// empty member still installs it and logs a typed `ZeroSupport`
+    /// exclusion — on the unpolicied and the staged round alike.
+    #[test]
+    fn zero_support_member_installs_the_merge_without_contributing() {
+        for policied in [false, true] {
+            let (deployment, mut sim, norm) = deployment();
+            let cfg =
+                FleetConfig { update_threshold: 10, federated_every: 0, ..FleetConfig::default() };
+            let mut fleet = Fleet::deploy(slots(3), &deployment, cfg).expect("deploy");
+            if policied {
+                // No monitors armed: every stage completes, so the staged
+                // install reaches every member.
+                fleet.enable_policy(PolicyConfig::default(), deployment.clone()).expect("policy");
+            }
+            // Diverge one member with a local update so the merge differs
+            // from the deployment, then empty another member's support.
+            let user = 1u64;
+            let features = session_features(&mut sim, &norm, Activity::Run, 10);
+            for i in 0..features.rows() {
+                fleet
+                    .label_sample(user, Activity::Run.label(), Tensor::vector(features.row(i)))
+                    .expect("label");
+            }
+            let empty = (0..fleet.len()).find(|&i| i != fleet.route(user)).expect("member");
+            *fleet.device_mut(empty).model_mut().support_mut() = pilote_core::SupportSet::new();
+            let others: Vec<(Checkpoint, usize)> = (0..fleet.len())
+                .filter(|&i| i != empty)
+                .map(|i| {
+                    let model = fleet.device_mut(i).model_mut();
+                    let weight = model.support().len();
+                    (Checkpoint::capture(model.net_mut().layers_mut()), weight)
+                })
+                .collect();
+            let expected = param_bits(&federated_average(&others).expect("average"));
+
+            fleet.federated_round().expect("round");
+
+            assert_eq!(fleet.federated_rounds(), 1, "policied: {policied}");
+            for i in 0..fleet.len() {
+                let layers = fleet.device_mut(i).model_mut().net_mut().layers_mut();
+                assert!(
+                    param_bits(&Checkpoint::capture(layers)) == expected,
+                    "device {i} (policied: {policied}) must hold the others' bitwise average"
+                );
+                let exclusions: Vec<_> = fleet
+                    .device(i)
+                    .log()
+                    .events()
+                    .iter()
+                    .filter_map(|e| match e.kind {
+                        EventKind::FederatedExcluded { participants, reason } => {
+                            Some((participants, reason))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let want =
+                    if i == empty { vec![(2, ExclusionReason::ZeroSupport)] } else { Vec::new() };
+                assert_eq!(exclusions, want, "device {i} (policied: {policied})");
+            }
+        }
     }
 
     #[test]
@@ -1872,7 +1847,7 @@ mod tests {
         let probe = probe_set(&mut sim, &norm);
         let old = [Activity::Still.label(), Activity::Walk.label()];
         fleet
-            .arm_quality_monitors(&probe, &old, QualityThresholds::default())
+            .arm_quality_monitors(&QualityMonitor::new(probe, &old, QualityThresholds::default()))
             .expect("arm");
         fleet.enable_policy(PolicyConfig::default(), deployment.clone()).expect("policy");
         (fleet, deployment)

@@ -42,7 +42,7 @@ pub use cloud::{
 };
 pub use edge::{EdgeDevice, EdgeError, InferenceOutcome, UpdateStatus, MAX_UPDATE_FAILURES};
 pub use events::{Event, EventKind, EventLog, ExclusionReason};
-pub use federated::{federated_average, FederatedCoordinator, FederatedError};
+pub use federated::{federated_average, FederatedError};
 pub use fleet::{DeviceStats, Fleet, FleetConfig, FleetStats, WireTotals};
 pub use policy::{
     DeviceHealth, FleetPolicy, PolicyConfig, PolicySummary, RepairAction, RolloutStage, StagePlan,

@@ -8,7 +8,6 @@
 //! ```
 
 use pilote::har_data::features::extract_batch;
-use pilote::magneto::FederatedCoordinator;
 use pilote::prelude::*;
 
 fn main() {
@@ -35,15 +34,23 @@ fn main() {
         deployment.wire_bytes().expect("serialisable") as f64 / 1e6
     );
 
-    // ---- edge: install once over 4G ---------------------------------------
+    // ---- edge: install once over 4G on a two-device fleet -----------------
+    // Rounds run only when called below, and no update fires on its own:
+    // each device learns when its user asks it to.
     let link = LinkModel::cellular_4g();
-    let mut phone = EdgeDevice::install(DeviceProfile::flagship_phone(), &deployment, &link)
-        .expect("install phone");
-    let mut watch = EdgeDevice::install(DeviceProfile::budget_phone(), &deployment, &link)
-        .expect("install watch");
-    println!("edge: installed on {:?} and {:?}", phone.profile().name, watch.profile().name);
+    let slots =
+        vec![(DeviceProfile::flagship_phone(), link), (DeviceProfile::budget_phone(), link)];
+    let config = FleetConfig { federated_every: 0, update_threshold: 0, ..FleetConfig::default() };
+    let mut fleet = Fleet::deploy(slots, &deployment, config).expect("install");
+    let (phone_index, watch_index) = (0, 1);
+    println!(
+        "edge: installed on {:?} and {:?}",
+        fleet.device(phone_index).profile().name,
+        fleet.device(watch_index).profile().name
+    );
 
     // ---- streaming inference ----------------------------------------------
+    let phone = fleet.device_mut(phone_index);
     let walk_session = sim.session(Activity::Walk, 8);
     let outcomes = phone.stream(&walk_session).expect("stream");
     let correct =
@@ -86,8 +93,8 @@ fn main() {
     );
 
     // ---- federated round (no data leaves either device) ---------------------
-    let mut coordinator = FederatedCoordinator::new();
     // Align class sets first: the watch also learns Run from its own data.
+    let watch = fleet.device_mut(watch_index);
     let watch_run = sim.raw_dataset(&[(Activity::Run, 30)]);
     let watch_features = normalizer
         .transform(&extract_batch(&watch_run).expect("features"))
@@ -96,10 +103,12 @@ fn main() {
         watch.label_sample(Activity::Run.label(), Tensor::vector(watch_features.row(i)));
     }
     watch.update(30).expect("watch update");
-    coordinator
-        .run_round(&mut [&mut phone, &mut watch])
-        .expect("federated round");
-    println!("federated: round {} complete across 2 devices", coordinator.rounds());
+    fleet.federated_round().expect("federated round");
+    println!(
+        "federated: round {} complete across {} devices",
+        fleet.federated_rounds(),
+        fleet.len()
+    );
 
     // ---- final evaluation (device's own normaliser, as on a real phone) -----
     let mut eval_sim = Simulator::with_seed(991);
@@ -113,6 +122,7 @@ fn main() {
         .transform(&extract_batch(&raw_test).expect("features"))
         .expect("normalize");
     let test = Dataset::new(test_features, raw_test.labels.clone()).expect("dataset");
+    let phone = fleet.device_mut(phone_index);
     println!(
         "phone accuracy on fresh 4-class data: {:.3}",
         phone.accuracy(&test).expect("eval")

@@ -20,35 +20,45 @@
 #      trace_quality.json byte-compared; the trace must parse as JSON
 #      with a non-empty traceEvents array and the A/B demo must show the
 #      re-trained arm alerting while the PILOTE arm does not
-#  10. the kernels gate (docs/KERNELS.md): `repro kernels` run twice plus
+#  10. the policy gate (docs/POLICY.md): `repro policy` run twice plus
+#      once at PILOTE_THREADS=4, BENCH_policy.json byte-compared; the
+#      closed-loop A/B must halt the poisoned canary, quarantine both
+#      offenders, degrade the repeat one and end with fewer forgetting
+#      alerts than the policy-off arm
+#  11. the kernels gate (docs/KERNELS.md): `repro kernels` run twice plus
 #      once at PILOTE_THREADS=4, the deterministic BENCH_kernels_check.json
 #      byte-compared; oversubscribed rows must be flagged and claim no
 #      speedup, and the packed GEMM must not lose to the legacy loop
-#  11. the docs gate: every relative markdown link in README/DESIGN/
+#  12. the docs gate: every relative markdown link in README/DESIGN/
 #      EXPERIMENTS/docs resolves, and every docs/*.md is reachable from
 #      README.md by following links
-#  12. the scaling gate (docs/SCALING.md): `repro fleet --scale large`
+#  13. the scaling gate (docs/SCALING.md): `repro fleet --scale large`
 #      at a reduced device count, run twice plus once at
 #      PILOTE_THREADS=4, BENCH_fleet_large.json byte-compared
-#  13. the wire gate (docs/WIRE.md): `repro wire` run twice plus once at
+#  14. the wire gate (docs/WIRE.md): `repro wire` run twice plus once at
 #      PILOTE_THREADS=4, BENCH_wire.json byte-compared; i8-delta must
 #      move fewer federated bytes than f32-full and undercut the
 #      JSON-f32 baseline ≥4× at <1 point of old-class accuracy loss
-#  14. the scenarios gate (docs/METRICS.md): `repro scenarios` run twice
+#  15. the scenarios gate (docs/METRICS.md): `repro scenarios` run twice
 #      plus once at PILOTE_THREADS=4, BENCH_scenarios.json byte-compared;
 #      every strategy's accuracy matrix must cover the full schedule and
 #      PILOTE's final forgetting must stay strictly below re-trained's
-#  15. the index gate: `repro index` over the committed results/ BENCH
+#  16. the index gate: `repro index` over the committed results/ BENCH
 #      files must parse every one, resolve every headline metric, and
 #      reproduce the committed BENCH_index.json byte-for-byte
-#  16. the perfbench build: the stand-alone benchmark package sits outside
+#  17. the perfbench build: the stand-alone benchmark package sits outside
 #      the workspace, so it is built and its unit tests run here — a
 #      public-API change that breaks the benchmark fails the gate
 #
 # The fleet, quality, policy, kernels, scaling, wire and scenarios gates
 # share one byte-identity recipe, `rerun_cmp`: run a `repro` sub-command
 # twice plus once at PILOTE_THREADS=4 and `cmp` each named output file
-# across the three runs.
+# across the three runs. The fleet, quality, policy, kernels and wire
+# gates run the exact invocation that produced the committed results/
+# files, so they also `cmp` run 1 against the committed copy: a change
+# that moves any committed figure fails the gate until results/ is
+# regenerated. Scaling and scenarios run at reduced scale and stay
+# self-compared.
 #
 # Usage: ./scripts/ci.sh   (from anywhere; cd's to the repo root)
 
@@ -59,11 +69,14 @@ step() { printf '\n==> %s\n' "$*"; }
 
 repro() { cargo run --release -q -p pilote-bench --bin repro -- "$@"; }
 
-# rerun_cmp NAME ARGS... -- FILES...
+# rerun_cmp [--committed] NAME ARGS... -- FILES...
 # Runs `repro ARGS` into $obs_dir/NAME/{1,2} and, at PILOTE_THREADS=4, into
 # $obs_dir/NAME/4, then byte-compares each FILE of run 1 against runs 2
-# and 4. Later assertions read run 1 from $obs_dir/NAME/1.
+# and 4 — and, with --committed, against the committed results/FILE.
+# Later assertions read run 1 from $obs_dir/NAME/1.
 rerun_cmp() {
+  local committed=0
+  if [ "$1" = "--committed" ]; then committed=1; shift; fi
   local dir="$obs_dir/$1" args=()
   shift
   while [ "$1" != "--" ]; do args+=("$1"); shift; done
@@ -74,6 +87,7 @@ rerun_cmp() {
   for f in "$@"; do
     cmp "$dir/1/$f" "$dir/2/$f"
     cmp "$dir/1/$f" "$dir/4/$f"
+    if [ "$committed" = 1 ]; then cmp "$dir/1/$f" "results/$f"; fi
   done
 }
 
@@ -124,13 +138,13 @@ PILOTE_OBS=0 repro obs --quick --out "$obs_dir/off"
 
 # --- fleet gate (docs/FLEET.md) -------------------------------------------
 
-step "fleet: repro fleet byte-identical across runs and at PILOTE_THREADS=4"
-rerun_cmp fleet fleet --quick -- BENCH_fleet.json
+step "fleet: repro fleet byte-identical across runs, at PILOTE_THREADS=4 and to results/"
+rerun_cmp --committed fleet fleet --quick -- BENCH_fleet.json
 
 # --- quality gate (docs/QUALITY.md) ---------------------------------------
 
-step "quality: repro quality byte-identical across runs and at PILOTE_THREADS=4"
-rerun_cmp quality quality --quick -- BENCH_quality.json trace_quality.json
+step "quality: repro quality byte-identical across runs, at PILOTE_THREADS=4 and to results/"
+rerun_cmp --committed quality quality --quick -- BENCH_quality.json trace_quality.json
 
 step "quality: trace integrity + A/B alert split"
 python3 - "$obs_dir/quality/1" << 'EOF'
@@ -155,8 +169,8 @@ EOF
 
 # --- policy gate (docs/POLICY.md) -----------------------------------------
 
-step "policy: repro policy byte-identical across runs and at PILOTE_THREADS=4"
-rerun_cmp policy policy --quick -- BENCH_policy.json
+step "policy: repro policy byte-identical across runs, at PILOTE_THREADS=4 and to results/"
+rerun_cmp --committed policy policy --quick -- BENCH_policy.json
 
 step "policy: closed-loop A/B — canary halt, repair ladder, fewer alerts"
 python3 - "$obs_dir/policy/1" << 'EOF'
@@ -186,8 +200,8 @@ EOF
 
 # --- kernels gate (docs/KERNELS.md) ---------------------------------------
 
-step "kernels: repro kernels check file byte-identical across runs and at PILOTE_THREADS=4"
-rerun_cmp kernels kernels -- BENCH_kernels_check.json
+step "kernels: repro kernels check file byte-identical across runs, at PILOTE_THREADS=4 and to results/"
+rerun_cmp --committed kernels kernels -- BENCH_kernels_check.json
 
 step "kernels: oversubscription flagged honestly; packed GEMM never loses to the legacy loop"
 python3 - "$obs_dir/kernels/1" << 'EOF'
@@ -266,8 +280,8 @@ rerun_cmp scaling fleet --scale large --devices 96 -- BENCH_fleet_large.json
 
 # --- wire gate (docs/WIRE.md) ---------------------------------------------
 
-step "wire: repro wire byte-identical across runs and at PILOTE_THREADS=4"
-rerun_cmp wire wire --quick -- BENCH_wire.json
+step "wire: repro wire byte-identical across runs, at PILOTE_THREADS=4 and to results/"
+rerun_cmp --committed wire wire --quick -- BENCH_wire.json
 
 step "wire: i8-delta frontier — >=4x under the JSON baseline, <1 point accuracy loss"
 python3 - "$obs_dir/wire/1" << 'EOF'

@@ -195,7 +195,7 @@ proptest! {
     ) {
         let mut dev = device();
         let eval = &fixture().eval_features;
-        let before = dev.classify_features(eval).expect("eval before");
+        let before = dev.model_mut().predict(eval).expect("eval before");
         let support_before = fixture().deployment.support.len();
         let mut rng = Rng64::new(seed);
         label_run_samples(&mut dev, 12, &mut rng);
@@ -204,7 +204,7 @@ proptest! {
             .update_faulted(10, Some(UpdateStage::ALL[kill_idx]))
             .expect("faulted update");
         prop_assert_eq!(status, pilote::magneto::UpdateStatus::RolledBack);
-        prop_assert_eq!(dev.classify_features(eval).expect("eval after"), before);
+        prop_assert_eq!(dev.model_mut().predict(eval).expect("eval after"), before);
         prop_assert_eq!(dev.model_mut().support().len(), support_before);
         prop_assert_eq!(dev.pending_samples(), pending);
         prop_assert_eq!(dev.update_failures(), 1);

@@ -73,7 +73,11 @@ fn policied_fleet(seed: u64) -> Fleet {
     let config = FleetConfig { seed, federated_every: 0, ..FleetConfig::default() };
     let mut fleet = Fleet::deploy(slots, &fx.deployment, config).expect("deploy");
     fleet
-        .arm_quality_monitors(&fx.probe, &fx.old_labels, QualityThresholds::default())
+        .arm_quality_monitors(&QualityMonitor::new(
+            fx.probe.clone(),
+            &fx.old_labels,
+            QualityThresholds::default(),
+        ))
         .expect("arm");
     fleet
         .enable_policy(PolicyConfig::default(), fx.deployment.clone())

@@ -248,11 +248,9 @@ fn run_schedule(deployment: &Deployment, probe: &Dataset, new: &Dataset) -> Edge
         EdgeDevice::install(DeviceProfile::flagship_phone(), deployment, &LinkModel::wifi())
             .expect("install");
     device
-        .arm_quality_monitor_with_sessions(
-            probe.clone(),
-            &base,
-            QualityThresholds::default(),
-            tasks,
+        .arm_quality_monitor(
+            QualityMonitor::new(probe.clone(), &base, QualityThresholds::default())
+                .with_session_tasks(tasks),
         )
         .expect("arm");
     for i in 0..new.features.rows() {
@@ -279,7 +277,7 @@ fn device_matrix_diagonal_matches_recomputed_probe_accuracy() {
     // Recompute the Run column of the final row from live predictions:
     // the model has not changed since the stamp, so they must agree
     // exactly.
-    let predicted = device.classify_features(&probe.features).expect("classify");
+    let predicted = device.model_mut().predict(&probe.features).expect("classify");
     let run = Activity::Run.label();
     let (mut correct, mut total) = (0usize, 0usize);
     for (row, &label) in probe.labels.iter().enumerate() {
