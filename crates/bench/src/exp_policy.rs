@@ -23,16 +23,13 @@
 
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
-use pilote_core::{
-    AdaptiveThresholds, Pilote, PiloteConfig, QualityMonitor, QualityThresholds,
-    SelectionStrategy,
-};
+use pilote_core::{Pilote, PiloteConfig, QualityMonitor, SelectionStrategy};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::dataset::Dataset;
 use pilote_har_data::features::extract_batch;
 use pilote_har_data::preprocess::Normalizer;
 use pilote_har_data::{Activity, Simulator};
-use pilote_magneto::{Deployment, EdgeDevice, Fleet, FleetConfig, PolicyConfig, RolloutStage};
+use pilote_magneto::{Deployment, EdgeDevice, Fleet, FleetConfig, RolloutStage};
 use pilote_nn::{Checkpoint, Layer};
 use pilote_tensor::Rng64;
 use serde_json::json;
@@ -144,15 +141,10 @@ fn run_arm(
     let mut fleet = Fleet::deploy(slots, deployment, config).expect("fleet deploy");
     let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
     fleet
-        .arm_quality_monitors(&QualityMonitor::new(
-            probe.clone(),
-            &base_labels,
-            QualityThresholds::default(),
-        ))
+        .arm_quality_monitors(&QualityMonitor::new(probe.clone(), &base_labels))
         .expect("arm fleet");
     if policy_on {
-        fleet.enable_policy(PolicyConfig::default(), deployment.clone()).expect("enable policy");
-        fleet.set_adaptive_thresholds(AdaptiveThresholds::default());
+        fleet.enable_policy(deployment.clone()).expect("enable policy");
     }
 
     // The shared schedule: one clean round to fold stage baselines, a
@@ -293,7 +285,7 @@ mod tests {
     /// quarantines at canary, halts, repairs, and ends with strictly
     /// fewer forgetting alerts than the open-loop arm.
     #[test]
-    #[ignore = "slow (two full policy A/Bs); run by scripts/ci.sh policy step"]
+    #[ignore = "slow (two full policy A/Bs); run by scripts/ci.sh ignored-tests step"]
     fn policy_ab_is_deterministic_and_the_loop_closes() {
         let dir = std::env::temp_dir().join("pilote_policy_test");
         std::fs::create_dir_all(&dir).expect("temp dir");

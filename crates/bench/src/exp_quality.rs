@@ -26,7 +26,7 @@
 use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
 use pilote_core::strategies::Strategy;
-use pilote_core::{Pilote, PiloteConfig, QualityMonitor, QualityThresholds, SelectionStrategy};
+use pilote_core::{Pilote, PiloteConfig, QualityMonitor, SelectionStrategy};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::dataset::Dataset;
 use pilote_har_data::features::extract_batch;
@@ -131,7 +131,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     };
     let base_labels: Vec<usize> = BASE_ACTIVITIES.iter().map(|a| a.label()).collect();
     let probe = test.filter_classes(&base_labels).expect("probe classes");
-    let monitor = QualityMonitor::new(probe.clone(), &base_labels, QualityThresholds::default());
+    let monitor = QualityMonitor::new(probe.clone(), &base_labels);
 
     // --- part 1: A/B alert demo ----------------------------------------
     // Same deployment, same new-class samples, same seed — only the
@@ -314,7 +314,7 @@ mod tests {
     /// rollup totals must cover the schedule, and the trace must hold a
     /// span for every lifecycle phase.
     #[test]
-    #[ignore = "slow (two full quality schedules); run by scripts/ci.sh quality step"]
+    #[ignore = "slow (two full quality schedules); run by scripts/ci.sh ignored-tests step"]
     fn quality_schedule_is_deterministic_and_alerts_discriminate() {
         let dir = std::env::temp_dir().join("pilote_quality_test");
         std::fs::create_dir_all(&dir).expect("temp dir");

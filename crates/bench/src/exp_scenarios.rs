@@ -37,8 +37,7 @@ use crate::report::{write_json, ReportError, Table};
 use crate::scale::Scale;
 use pilote_core::strategies::Strategy;
 use pilote_core::{
-    Pilote, PiloteConfig, QualityMonitor, QualityThresholds, SelectionStrategy, SessionSummary,
-    TaskGroup,
+    Pilote, PiloteConfig, QualityMonitor, SelectionStrategy, SessionSummary, TaskGroup,
 };
 use pilote_edge_sim::{DeviceProfile, LinkModel};
 use pilote_har_data::dataset::Dataset;
@@ -162,8 +161,7 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<serde_json::Value, Re
     // The probe carries all five activities: not-yet-learned tasks are
     // measured from session 0, which is what makes forward transfer (and
     // the honest NCM zero on unseen labels) visible in the matrix.
-    let monitor = QualityMonitor::new(test.clone(), &base_labels, QualityThresholds::default())
-        .with_session_tasks(tasks.clone());
+    let monitor = QualityMonitor::new(test.clone(), &base_labels).with_session_tasks(tasks.clone());
 
     // Every arm replays the same increments from the same pre-drawn
     // batches — strategies differ, data never does.
@@ -342,7 +340,7 @@ mod tests {
     /// A/B split must hold — PILOTE's final forgetting strictly below
     /// Re-trained's.
     #[test]
-    #[ignore = "slow (two full scenario schedules); run by scripts/ci.sh scenarios step"]
+    #[ignore = "slow (two full scenario schedules); run by scripts/ci.sh ignored-tests step"]
     fn scenario_matrices_are_deterministic_and_split_strategies() {
         let dir = std::env::temp_dir().join("pilote_scenarios_test");
         std::fs::create_dir_all(&dir).expect("temp dir");

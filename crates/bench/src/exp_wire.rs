@@ -35,6 +35,7 @@ use pilote_magneto::{Deployment, Fleet, FleetConfig, WireConfig, WireTotals};
 use pilote_nn::Checkpoint;
 use pilote_tensor::{Rng64, Tensor};
 use serde_json::json;
+use std::io;
 use std::path::Path;
 
 /// Devices in the fleet (roster cycles flagship / budget / wearable;
@@ -93,6 +94,24 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<(), ReportError> {
 
     // --- cloud: pre-train once, package once --------------------------
     let (scenario, norm, _sim) = faulted_scenario(scale, seed);
+    // The schedule labels a fixed number of new-class windows; a smaller
+    // pool would run it off the end of the label stream, so refuse before
+    // pre-training or any fleet work.
+    let needed = FEDERATED_ROUNDS * LABELLING_USERS as usize * LABELS_PER_USER;
+    let pool = scenario.new_pool.class_indices(scenario.new_activity.label()).len();
+    if pool < needed {
+        pilote_obs::set_enabled(was_enabled);
+        let detail = format!(
+            "the new-class pool holds {pool} {} windows, but the wire schedule labels {needed} \
+             ({FEDERATED_ROUNDS} rounds x {LABELLING_USERS} users x {LABELS_PER_USER}); \
+             run at a larger scale",
+            scenario.new_activity.name()
+        );
+        return Err(ReportError {
+            path: out.join("BENCH_wire.json"),
+            source: io::Error::new(io::ErrorKind::InvalidInput, detail),
+        });
+    }
     let mut base = pretrain_base(scenario, scale, seed);
     let deployment = Deployment {
         checkpoint: Checkpoint::capture(base.model.net_mut().layers_mut()),
@@ -109,15 +128,8 @@ pub fn run(scale: &Scale, seed: u64, out: &Path) -> Result<(), ReportError> {
     // federated round.
     let new_label = base.scenario.new_activity.label();
     let mut rng = Rng64::new(seed ^ 0x31e7);
-    let new_samples = base
-        .scenario
-        .new_pool
-        .sample_class(
-            new_label,
-            FEDERATED_ROUNDS * LABELLING_USERS as usize * LABELS_PER_USER,
-            &mut rng,
-        )
-        .expect("new-class batch");
+    let new_samples =
+        base.scenario.new_pool.sample_class(new_label, needed, &mut rng).expect("new-class batch");
 
     // --- the sweep -----------------------------------------------------
     let configs = [
@@ -319,9 +331,9 @@ fn session_slice(eval: &Dataset, cursor: &mut usize) -> Tensor {
 mod tests {
     use super::*;
 
-    fn tiny() -> Scale {
+    fn tiny(per_activity: usize) -> Scale {
         Scale {
-            per_activity: 60,
+            per_activity,
             rounds: 1,
             exemplars_per_class: 12,
             max_epochs: 2,
@@ -330,17 +342,39 @@ mod tests {
         }
     }
 
+    #[test]
+    fn short_new_class_pool_is_refused_before_any_fleet_work() {
+        let pool = |per_activity| {
+            let (scenario, _, _) = faulted_scenario(&tiny(per_activity), 7);
+            scenario.new_pool.class_indices(scenario.new_activity.label()).len()
+        };
+        // 86 windows per activity is the smallest count whose 70 % training
+        // split leaves the 60 new-class windows the schedule labels.
+        assert!(pool(85) < 60 && pool(86) >= 60);
+        let dir = std::env::temp_dir().join("pilote_wire_short_pool");
+        let err = run(&tiny(60), 7, &dir).expect_err("a 42-window pool cannot feed 60 labels");
+        assert_eq!(err.source.kind(), io::ErrorKind::InvalidInput);
+        let message = err.to_string();
+        assert!(message.contains("holds 42") && message.contains("labels 60"), "{message}");
+        assert!(!dir.join("BENCH_wire.json").exists(), "nothing may be written");
+    }
+
     /// Acceptance check: two runs at the same seed must produce the same
     /// JSON bytes (the run itself asserts the savings and accuracy
-    /// contracts).
+    /// contracts). Runs at the `--quick` scale of the committed
+    /// `BENCH_wire.json`: at the smallest scale whose pool feeds the
+    /// schedule (86 windows per activity, two epochs) the run's own i8
+    /// accuracy contract fails, with 3.5 points lost against a 1-point
+    /// limit.
     #[test]
-    #[ignore = "slow (six full fleet schedules, twice); run by scripts/ci.sh wire step"]
+    #[ignore = "slow (six full fleet schedules, twice); run by scripts/ci.sh ignored-tests step"]
     fn wire_frontier_is_deterministic() {
         let dir = std::env::temp_dir().join("pilote_wire_test");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        run(&tiny(), 7, &dir).expect("run a");
+        let scale = Scale::quick();
+        run(&scale, 7, &dir).expect("run a");
         let a = std::fs::read(dir.join("BENCH_wire.json")).expect("read a");
-        run(&tiny(), 7, &dir).expect("run b");
+        run(&scale, 7, &dir).expect("run b");
         let b = std::fs::read(dir.join("BENCH_wire.json")).expect("read b");
         assert_eq!(a, b, "same seed must produce byte-identical BENCH_wire.json");
     }

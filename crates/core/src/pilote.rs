@@ -143,11 +143,6 @@ impl TrainReport {
     pub fn total_seconds(&self) -> f64 {
         self.epochs.iter().map(|e| e.seconds).sum()
     }
-
-    /// Final training loss (NaN if no epochs ran).
-    pub fn final_train_loss(&self) -> f32 {
-        self.epochs.last().map_or(f32::NAN, |e| e.train_loss)
-    }
 }
 
 /// Options for the shared embedding-training routine.
@@ -875,10 +870,8 @@ mod tests {
     #[test]
     fn train_report_totals() {
         let mut r = TrainReport::default();
-        assert!(r.final_train_loss().is_nan());
         r.epochs.push(EpochStats { epoch: 0, train_loss: 1.0, val_loss: None, lr: 0.01, seconds: 0.5 });
         r.epochs.push(EpochStats { epoch: 1, train_loss: 0.5, val_loss: None, lr: 0.005, seconds: 0.25 });
-        assert_eq!(r.final_train_loss(), 0.5);
         assert!((r.total_seconds() - 0.75).abs() < 1e-12);
     }
 }

@@ -26,15 +26,16 @@
 //!
 //! | rule | fires when |
 //! |------|------------|
-//! | [`AlertRule::Forgetting`] | forgetting score > `forgetting` (default 10 pts) |
-//! | [`AlertRule::MarginCollapse`] | mean margin < `margin_collapse_ratio` × the baseline mean margin (default ¼) |
-//! | [`AlertRule::DriftSpike`] | any class drift ratio > `drift_spike_ratio` (default ½ of the prototype norm) |
+//! | [`AlertRule::Forgetting`] | forgetting score > [`FORGETTING_THRESHOLD`] (10 pts) |
+//! | [`AlertRule::MarginCollapse`] | mean margin < [`MARGIN_COLLAPSE_RATIO`] × the baseline mean margin (¼) |
+//! | [`AlertRule::DriftSpike`] | any class drift ratio > [`DRIFT_SPIKE_RATIO`] (½ of the prototype norm) |
 //!
-//! With [`AdaptiveThresholds`] enabled the forgetting and drift
-//! thresholds are re-derived per observation from the device's own probe
-//! history instead of the shared constants (clamped to stay within 2× of
-//! the base either way); the margin rule is already baseline-relative and
-//! never adapts.
+//! An *adaptive* observation ([`QualityMonitor::observe`]) re-derives the
+//! forgetting and drift thresholds from the monitor's own probe history
+//! instead of the shared constants (clamped to stay within 2× of the base
+//! either way); the margin rule is already baseline-relative and never
+//! adapts. `pilote-magneto` observes adaptively exactly when the device
+//! belongs to a fleet whose self-healing policy is enabled.
 //!
 //! The margin and drift rules only compare observations with the **same
 //! class set**: adding a class redefines the margin (nearest vs
@@ -47,7 +48,7 @@
 //! classes the model has gained.
 //!
 //! Everything here is a deterministic function of the model, the probe
-//! set and the thresholds — no randomness, no wall clock — so one seed
+//! set and the report history — no randomness, no wall clock — so one seed
 //! produces byte-identical reports at any `PILOTE_THREADS`. Monitoring
 //! runs regardless of the `PILOTE_OBS` kill switch (alerts are device
 //! *behaviour*, not telemetry); the margin histogram uses the standalone
@@ -77,82 +78,51 @@ pub const MARGIN_BOUNDS: &[f64] =
 /// ratio.
 const NORM_FLOOR: f32 = 1e-6;
 
-/// Deterministic alert thresholds. All rules compare a measured value
-/// against a constant (or a constant × the monitor's own baseline), so two
-/// runs with the same seed raise the same alerts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QualityThresholds {
-    /// Forgetting score (old-class accuracy drop, 0–1) above which
-    /// [`AlertRule::Forgetting`] fires. Paper-motivated default: 0.10.
-    pub forgetting: f32,
-    /// Fraction of the baseline mean margin below which
-    /// [`AlertRule::MarginCollapse`] fires. Default: 0.25.
-    pub margin_collapse_ratio: f64,
-    /// Per-class drift ratio (L2 drift / previous prototype norm) above
-    /// which [`AlertRule::DriftSpike`] fires. Default: 0.5.
-    pub drift_spike_ratio: f32,
-}
+/// Forgetting score (old-class accuracy drop, 0–1) above which
+/// [`AlertRule::Forgetting`] fires — the base for the adaptive rule.
+pub const FORGETTING_THRESHOLD: f32 = 0.10;
 
-impl Default for QualityThresholds {
-    fn default() -> Self {
-        QualityThresholds {
-            forgetting: 0.10,
-            margin_collapse_ratio: 0.25,
-            drift_spike_ratio: 0.5,
-        }
-    }
-}
+/// Fraction of the baseline mean margin below which
+/// [`AlertRule::MarginCollapse`] fires. Never adapts: it is already
+/// relative to the monitor's own baseline.
+pub const MARGIN_COLLAPSE_RATIO: f64 = 0.25;
 
-/// Derives per-device thresholds from the device's own probe history
-/// instead of fleet-wide constants. Adaimi & Thomaz's lifelong-learning
-/// study (PAPERS.md) shows per-user baselines diverge enough that shared
-/// alert constants misfire: a device whose forgetting score naturally
-/// jitters by 5 pts needs more headroom than one that sits at 0.
-///
-/// The effective threshold for a rule is `headroom ×` the standard
-/// deviation of that rule's measured value over the last `window`
-/// observations, clamped to `[0.5, 2.0] ×` the configured base so a
+/// Per-class drift ratio (L2 drift / previous prototype norm) above which
+/// [`AlertRule::DriftSpike`] fires — the base for the adaptive rule.
+pub const DRIFT_SPIKE_RATIO: f32 = 0.5;
+
+/// Adaptive rule: how many most-recent prior observations feed the
+/// derivation.
+pub const ADAPTIVE_WINDOW: usize = 4;
+
+/// Adaptive rule: prior observations needed before the derived threshold
+/// replaces the base constant.
+pub const ADAPTIVE_MIN_HISTORY: usize = 3;
+
+/// Adaptive rule: multiplier on the history's standard deviation (a
+/// 3-sigma band).
+pub const ADAPTIVE_HEADROOM: f64 = 3.0;
+
+/// The adaptive rule. Adaimi & Thomaz's lifelong-learning study
+/// (PAPERS.md) shows per-user baselines diverge enough that shared alert
+/// constants misfire: a device whose forgetting score naturally jitters by
+/// 5 pts needs more headroom than one that sits at 0. So the effective
+/// threshold is [`ADAPTIVE_HEADROOM`] × the standard deviation of the
+/// rule's measured `history` (oldest first) over the last
+/// [`ADAPTIVE_WINDOW`] observations, clamped to `[0.5, 2.0] × base` so a
 /// pathological history can never disable the rule or make it
-/// hair-trigger. Until `min_history` observations exist the base
-/// threshold applies unchanged. Only the **forgetting** and **drift**
-/// rules adapt — the margin rule is already relative to the device's own
-/// baseline margin.
-///
-/// Everything is a deterministic fold over the report history, so
-/// adaptation preserves the byte-identical-across-runs contract.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveThresholds {
-    /// How many most-recent prior observations feed the derivation.
-    pub window: usize,
-    /// Minimum prior observations before adaptation kicks in; below this
-    /// the base threshold applies.
-    pub min_history: usize,
-    /// Multiplier on the history's standard deviation (a 3-sigma band by
-    /// default).
-    pub headroom: f64,
-}
-
-impl Default for AdaptiveThresholds {
-    fn default() -> Self {
-        AdaptiveThresholds { window: 4, min_history: 3, headroom: 3.0 }
+/// hair-trigger. Returns `base` while the history is shorter than
+/// [`ADAPTIVE_MIN_HISTORY`]. A deterministic fold over the report
+/// history, so adaptation keeps the byte-identical-across-runs contract.
+fn adaptive_threshold(base: f64, history: &[f64]) -> f64 {
+    if history.len() < ADAPTIVE_MIN_HISTORY {
+        return base;
     }
-}
-
-impl AdaptiveThresholds {
-    /// The effective threshold given a `base` constant and the rule's
-    /// measured `history` (oldest first): `headroom × std(last window)`,
-    /// clamped to `[0.5 × base, 2.0 × base]`. Returns `base` while the
-    /// history is shorter than `min_history`.
-    pub fn effective(&self, base: f64, history: &[f64]) -> f64 {
-        if history.len() < self.min_history {
-            return base;
-        }
-        let tail = &history[history.len().saturating_sub(self.window.max(1))..];
-        let n = tail.len() as f64;
-        let mean = tail.iter().sum::<f64>() / n;
-        let var = tail.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-        (self.headroom * var.sqrt()).clamp(0.5 * base, 2.0 * base)
-    }
+    let tail = &history[history.len().saturating_sub(ADAPTIVE_WINDOW)..];
+    let n = tail.len() as f64;
+    let mean = tail.iter().sum::<f64>() / n;
+    let var = tail.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+    (ADAPTIVE_HEADROOM * var.sqrt()).clamp(0.5 * base, 2.0 * base)
 }
 
 /// Which threshold rule fired.
@@ -236,7 +206,6 @@ pub struct QualityReport {
 pub struct QualityMonitor {
     probe: Dataset,
     old_labels: Vec<usize>,
-    thresholds: QualityThresholds,
     last_generation: Option<u64>,
     prev_prototypes: Vec<(usize, Vec<f32>)>,
     prev_old_accuracy: Option<f32>,
@@ -244,9 +213,6 @@ pub struct QualityMonitor {
     /// Sorted class labels of the previous observation — margin and drift
     /// rules only fire when the class set is unchanged (see module docs).
     prev_known: Vec<usize>,
-    /// When set, forgetting/drift thresholds are derived per observation
-    /// from this monitor's own report history (see [`AdaptiveThresholds`]).
-    adaptive: Option<AdaptiveThresholds>,
     /// When set, every observation also stamps one row of the session ×
     /// task accuracy matrix (see [`crate::session_metrics`]).
     session_matrix: Option<AccuracyMatrix>,
@@ -257,29 +223,21 @@ impl QualityMonitor {
     /// Builds a monitor over `probe` (held-out windows **already in model
     /// feature space**). `old_labels` are the classes whose accuracy the
     /// forgetting score tracks — typically the pre-trained classes.
-    pub fn new(probe: Dataset, old_labels: &[usize], thresholds: QualityThresholds) -> Self {
+    pub fn new(probe: Dataset, old_labels: &[usize]) -> Self {
         let mut old_labels = old_labels.to_vec();
         old_labels.sort_unstable();
         old_labels.dedup();
         QualityMonitor {
             probe,
             old_labels,
-            thresholds,
             last_generation: None,
             prev_prototypes: Vec::new(),
             prev_old_accuracy: None,
             baseline_mean_margin: None,
             prev_known: Vec::new(),
-            adaptive: None,
             session_matrix: None,
             reports: Vec::new(),
         }
-    }
-
-    /// Enables per-device adaptive threshold derivation (builder form).
-    pub fn with_adaptive(mut self, adaptive: AdaptiveThresholds) -> Self {
-        self.adaptive = Some(adaptive);
-        self
     }
 
     /// Enables session-matrix recording (builder form): every observation
@@ -297,24 +255,9 @@ impl QualityMonitor {
         self.session_matrix.as_ref()
     }
 
-    /// Enables or disables adaptive threshold derivation in place.
-    pub fn set_adaptive(&mut self, adaptive: Option<AdaptiveThresholds>) {
-        self.adaptive = adaptive;
-    }
-
-    /// The adaptive derivation config, if enabled.
-    pub fn adaptive(&self) -> Option<&AdaptiveThresholds> {
-        self.adaptive.as_ref()
-    }
-
     /// The monitored old-class labels, sorted.
     pub fn old_labels(&self) -> &[usize] {
         &self.old_labels
-    }
-
-    /// The configured thresholds.
-    pub fn thresholds(&self) -> &QualityThresholds {
-        &self.thresholds
     }
 
     /// All reports taken so far, in observation order — the forgetting
@@ -333,38 +276,45 @@ impl QualityMonitor {
         self.reports.iter().map(|r| r.alerts.len()).sum()
     }
 
-    /// The thresholds in force for the *next* observation: the configured
-    /// base values when adaptation is off or the history is still short,
-    /// otherwise the per-device derived forgetting/drift thresholds (the
-    /// margin ratio never adapts — it is already baseline-relative).
-    pub fn effective_thresholds(&self) -> QualityThresholds {
-        let mut t = self.thresholds;
-        let Some(adaptive) = self.adaptive else { return t };
-        let forgetting_history: Vec<f64> =
-            self.reports.iter().map(|r| f64::from(r.forgetting)).collect();
-        let drift_history: Vec<f64> = self
-            .reports
-            .iter()
-            .map(|r| {
-                r.per_class.iter().map(|c| f64::from(c.drift_ratio)).fold(0.0, f64::max)
-            })
-            .collect();
-        t.forgetting =
-            adaptive.effective(f64::from(t.forgetting), &forgetting_history) as f32;
-        t.drift_spike_ratio =
-            adaptive.effective(f64::from(t.drift_spike_ratio), &drift_history) as f32;
-        t
+    /// The forgetting threshold in force for the *next* observation:
+    /// [`FORGETTING_THRESHOLD`], or with `adaptive` the value the adaptive
+    /// rule derives from this monitor's forgetting history.
+    pub fn forgetting_threshold(&self, adaptive: bool) -> f32 {
+        self.threshold(FORGETTING_THRESHOLD, adaptive, |r| f64::from(r.forgetting))
+    }
+
+    /// The drift-ratio threshold in force for the *next* observation:
+    /// [`DRIFT_SPIKE_RATIO`], or with `adaptive` the value the adaptive
+    /// rule derives from this monitor's worst-drift history.
+    fn drift_threshold(&self, adaptive: bool) -> f32 {
+        self.threshold(DRIFT_SPIKE_RATIO, adaptive, |r| {
+            r.per_class.iter().map(|c| f64::from(c.drift_ratio)).fold(0.0, f64::max)
+        })
+    }
+
+    fn threshold(&self, base: f32, adaptive: bool, value: impl Fn(&QualityReport) -> f64) -> f32 {
+        if !adaptive {
+            return base;
+        }
+        let history: Vec<f64> = self.reports.iter().map(value).collect();
+        adaptive_threshold(f64::from(base), &history) as f32
     }
 
     /// Samples the model if its generation moved since the last
     /// observation; returns `None` when the generation is unchanged.
-    /// The first call always samples (the baseline observation).
-    pub fn observe(&mut self, model: &mut Pilote) -> Result<Option<QualityReport>, TensorError> {
+    /// The first call always samples (the baseline observation). With
+    /// `adaptive` the forgetting and drift rules judge against thresholds
+    /// derived from this monitor's own history (see the module docs).
+    pub fn observe(
+        &mut self,
+        model: &mut Pilote,
+        adaptive: bool,
+    ) -> Result<Option<QualityReport>, TensorError> {
         let generation = model.generation();
         if self.last_generation == Some(generation) {
             return Ok(None);
         }
-        let report = self.measure(model, generation)?;
+        let report = self.measure(model, generation, adaptive)?;
         self.reports.push(report.clone());
         Ok(Some(report))
     }
@@ -374,6 +324,7 @@ impl QualityMonitor {
         &mut self,
         model: &mut Pilote,
         generation: u64,
+        adaptive: bool,
     ) -> Result<QualityReport, TensorError> {
         let embeddings = model.embed(&self.probe.features);
         let clf = model.classifier();
@@ -477,18 +428,19 @@ impl QualityMonitor {
         // this monitor's own history; `self.reports` still holds only the
         // *prior* observations here, so a measurement never feeds its own
         // threshold.
-        let effective = self.effective_thresholds();
+        let forgetting_threshold = self.forgetting_threshold(adaptive);
+        let drift_threshold = self.drift_threshold(adaptive);
         let mut alerts = Vec::new();
-        if forgetting > effective.forgetting {
+        if forgetting > forgetting_threshold {
             alerts.push(QualityAlert {
                 rule: AlertRule::Forgetting,
                 generation,
                 value: f64::from(forgetting),
-                threshold: f64::from(effective.forgetting),
+                threshold: f64::from(forgetting_threshold),
             });
         }
         if let (true, Some(baseline)) = (same_class_set, self.baseline_mean_margin) {
-            let floor = self.thresholds.margin_collapse_ratio * baseline;
+            let floor = MARGIN_COLLAPSE_RATIO * baseline;
             if mean_margin >= 0.0 && mean_margin < floor {
                 alerts.push(QualityAlert {
                     rule: AlertRule::MarginCollapse,
@@ -498,12 +450,12 @@ impl QualityMonitor {
                 });
             }
         }
-        if same_class_set && worst_drift_ratio > effective.drift_spike_ratio {
+        if same_class_set && worst_drift_ratio > drift_threshold {
             alerts.push(QualityAlert {
                 rule: AlertRule::DriftSpike,
                 generation,
                 value: f64::from(worst_drift_ratio),
-                threshold: f64::from(effective.drift_spike_ratio),
+                threshold: f64::from(drift_threshold),
             });
         }
 
@@ -569,15 +521,15 @@ mod tests {
     #[test]
     fn observe_gates_on_generation() {
         let (mut model, _, probe) = fixture(3);
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), Default::default());
-        let first = monitor.observe(&mut model).unwrap();
+        let mut monitor = QualityMonitor::new(probe, &old_labels());
+        let first = monitor.observe(&mut model, false).unwrap();
         assert!(first.is_some(), "first call must take the baseline");
         assert!(
-            monitor.observe(&mut model).unwrap().is_none(),
+            monitor.observe(&mut model, false).unwrap().is_none(),
             "unchanged generation must not re-sample"
         );
         model.refresh_prototypes().unwrap();
-        assert!(monitor.observe(&mut model).unwrap().is_some());
+        assert!(monitor.observe(&mut model, false).unwrap().is_some());
         assert_eq!(monitor.reports().len(), 2);
     }
 
@@ -589,31 +541,30 @@ mod tests {
             TaskGroup::new("base", &old_labels()),
             TaskGroup::new("run", &[Activity::Run.label()]),
         ];
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), Default::default())
-            .with_session_tasks(tasks);
-        monitor.observe(&mut model).unwrap().expect("baseline");
+        let mut monitor = QualityMonitor::new(probe, &old_labels()).with_session_tasks(tasks);
+        monitor.observe(&mut model, false).unwrap().expect("baseline");
         let matrix = monitor.session_matrix().expect("recording enabled");
         assert_eq!(matrix.sessions(), 1);
         assert!(!matrix.rows()[0].known[1], "Run not learned yet");
         assert!(matrix.at(0, 1) >= 0.0, "probe has Run rows, so FWT is measurable");
 
         model.learn_new_class(&new, 15).unwrap();
-        let report = monitor.observe(&mut model).unwrap().expect("post-update");
+        let report = monitor.observe(&mut model, false).unwrap().expect("post-update");
         let matrix = monitor.session_matrix().expect("recording enabled");
         assert_eq!(matrix.sessions(), 2);
         assert_eq!(matrix.rows()[1].generation, report.generation);
         assert!(matrix.rows()[1].known[1], "Run learned in session 1");
         assert_eq!(matrix.learned_session(1), Some(1));
         // An unchanged generation stamps nothing.
-        assert!(monitor.observe(&mut model).unwrap().is_none());
+        assert!(monitor.observe(&mut model, false).unwrap().is_none());
         assert_eq!(monitor.session_matrix().unwrap().sessions(), 2);
     }
 
     #[test]
     fn baseline_report_measures_accuracy_and_margins() {
         let (mut model, _, probe) = fixture(3);
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), Default::default());
-        let report = monitor.observe(&mut model).unwrap().expect("baseline");
+        let mut monitor = QualityMonitor::new(probe, &old_labels());
+        let report = monitor.observe(&mut model, false).unwrap().expect("baseline");
         assert_eq!(report.generation, model.generation());
         assert!(report.old_class_accuracy > 0.7, "pretrain should separate Still/Walk");
         assert_eq!(report.forgetting, 0.0, "no previous observation to forget against");
@@ -637,12 +588,11 @@ mod tests {
         let (model, new, probe) = fixture(6);
 
         let mut pilote = model.clone_model();
-        let mut pilote_monitor =
-            QualityMonitor::new(probe.clone(), &old_labels(), Default::default());
-        pilote_monitor.observe(&mut pilote).unwrap().expect("baseline");
+        let mut pilote_monitor = QualityMonitor::new(probe.clone(), &old_labels());
+        pilote_monitor.observe(&mut pilote, false).unwrap().expect("baseline");
         pilote.learn_new_class(&new, 15).unwrap();
         let pilote_report =
-            pilote_monitor.observe(&mut pilote).unwrap().expect("post-update sample");
+            pilote_monitor.observe(&mut pilote, false).unwrap().expect("post-update sample");
         assert!(
             pilote_report.alerts.is_empty(),
             "PILOTE (distillation on) must not alert — margin/drift rules are \
@@ -652,11 +602,11 @@ mod tests {
 
         let mut retrained = model.clone_model();
         let mut retrained_monitor =
-            QualityMonitor::new(probe, &old_labels(), Default::default());
-        retrained_monitor.observe(&mut retrained).unwrap().expect("baseline");
+            QualityMonitor::new(probe, &old_labels());
+        retrained_monitor.observe(&mut retrained, false).unwrap().expect("baseline");
         baselines::retrained_update(&mut retrained, &new, 15).unwrap();
         let retrained_report =
-            retrained_monitor.observe(&mut retrained).unwrap().expect("post-update sample");
+            retrained_monitor.observe(&mut retrained, false).unwrap().expect("post-update sample");
         assert!(
             retrained_report.forgetting > pilote_report.forgetting,
             "re-training (no distillation) must forget more than PILOTE: {} vs {}",
@@ -672,15 +622,15 @@ mod tests {
     #[test]
     fn drift_spike_fires_when_a_prototype_jumps() {
         let (mut model, _, probe) = fixture(4);
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), Default::default());
-        monitor.observe(&mut model).unwrap().expect("baseline");
+        let mut monitor = QualityMonitor::new(probe, &old_labels());
+        monitor.observe(&mut model, false).unwrap().expect("baseline");
         // Teleport one class's support far away: its prototype moves by
         // much more than its own norm.
         let label = Activity::Still.label();
         let moved = model.support().class(label).unwrap().add_scalar(100.0);
         model.support_mut().put_class(label, moved);
         model.refresh_prototypes().unwrap();
-        let report = monitor.observe(&mut model).unwrap().expect("post-jump sample");
+        let report = monitor.observe(&mut model, false).unwrap().expect("post-jump sample");
         assert!(
             report.alerts.iter().any(|a| a.rule == AlertRule::DriftSpike),
             "teleported prototype must trip the drift rule: {report:?}"
@@ -696,11 +646,11 @@ mod tests {
         // observation, and the margin baseline re-anchors at the new
         // class count.
         let (mut model, new, probe) = fixture(6);
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), Default::default());
-        monitor.observe(&mut model).unwrap().expect("baseline");
+        let mut monitor = QualityMonitor::new(probe, &old_labels());
+        monitor.observe(&mut model, false).unwrap().expect("baseline");
         let two_class_baseline = monitor.baseline_mean_margin.expect("baseline margin");
         model.learn_new_class(&new, 15).unwrap();
-        let report = monitor.observe(&mut model).unwrap().expect("post-update sample");
+        let report = monitor.observe(&mut model, false).unwrap().expect("post-update sample");
         assert!(
             !report
                 .alerts
@@ -722,71 +672,71 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_effective_threshold_derivation() {
-        let a = AdaptiveThresholds::default(); // window 4, min_history 3, headroom 3.0
+    fn adaptive_threshold_derivation() {
+        // The constants: window 4, min history 3, headroom 3.0.
         let base = 0.10;
         // Short history: base applies unchanged.
-        assert_eq!(a.effective(base, &[0.0, 0.01]), base);
+        assert_eq!(adaptive_threshold(base, &[0.0, 0.01]), base);
         // Perfectly stable history: 3σ = 0, clamped up to 0.5 × base — a
         // quiet device gets a tighter trigger, never a disabled rule.
-        assert_eq!(a.effective(base, &[0.02, 0.02, 0.02, 0.02]), 0.5 * base);
+        assert_eq!(adaptive_threshold(base, &[0.02, 0.02, 0.02, 0.02]), 0.5 * base);
         // Noisy history: 3σ blows past the cap, clamped to 2 × base.
-        assert_eq!(a.effective(base, &[0.0, 0.4, 0.0, 0.4]), 2.0 * base);
+        assert_eq!(adaptive_threshold(base, &[0.0, 0.4, 0.0, 0.4]), 2.0 * base);
         // Mild jitter lands between the clamps: σ(±0.02 around mean) =
         // 0.02, so 3σ = 0.06 ∈ [0.05, 0.20].
-        let mid = a.effective(base, &[0.00, 0.04, 0.00, 0.04]);
+        let mid = adaptive_threshold(base, &[0.00, 0.04, 0.00, 0.04]);
         assert!((mid - 0.06).abs() < 1e-12, "got {mid}");
-        // Only the last `window` observations count: the wild early value
-        // falls outside the window and must not raise the threshold.
-        assert_eq!(a.effective(base, &[9.0, 0.02, 0.02, 0.02, 0.02]), 0.5 * base);
+        // Only the last `ADAPTIVE_WINDOW` observations count: the wild
+        // early value falls outside the window and must not raise the
+        // threshold.
+        assert_eq!(adaptive_threshold(base, &[9.0, 0.02, 0.02, 0.02, 0.02]), 0.5 * base);
     }
 
     #[test]
-    fn monitor_adapts_thresholds_from_its_own_history() {
+    fn adaptive_observations_derive_thresholds_from_their_own_history() {
         let (mut model, _, probe) = fixture(3);
-        let base = QualityThresholds::default();
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), base)
-            .with_adaptive(AdaptiveThresholds::default());
+        let mut monitor = QualityMonitor::new(probe, &old_labels());
         assert_eq!(
-            monitor.effective_thresholds(),
-            base,
-            "no history yet: base thresholds apply"
+            monitor.forgetting_threshold(true),
+            FORGETTING_THRESHOLD,
+            "no history yet: the base constant applies"
         );
+        assert_eq!(monitor.drift_threshold(true), DRIFT_SPIKE_RATIO);
         // Three stable observations of an untouched model (generation
         // bumped by prototype refreshes): forgetting history is all-zero,
         // so the derived threshold clamps down to 0.5 × base.
-        monitor.observe(&mut model).unwrap().expect("baseline");
+        monitor.observe(&mut model, true).unwrap().expect("baseline");
         for _ in 0..2 {
             model.refresh_prototypes().unwrap();
-            monitor.observe(&mut model).unwrap().expect("sample");
+            monitor.observe(&mut model, true).unwrap().expect("sample");
         }
-        let eff = monitor.effective_thresholds();
-        assert_eq!(eff.forgetting, 0.5 * base.forgetting);
-        assert_eq!(eff.drift_spike_ratio, 0.5 * base.drift_spike_ratio);
-        assert_eq!(
-            eff.margin_collapse_ratio, base.margin_collapse_ratio,
-            "the margin rule never adapts"
-        );
+        let forgetting = monitor.forgetting_threshold(true);
+        let drift = monitor.drift_threshold(true);
+        assert_eq!(forgetting, 0.5 * FORGETTING_THRESHOLD);
+        assert_eq!(drift, 0.5 * DRIFT_SPIKE_RATIO);
+        // A non-adaptive observation of the same history keeps the constants.
+        assert_eq!(monitor.forgetting_threshold(false), FORGETTING_THRESHOLD);
+        assert_eq!(monitor.drift_threshold(false), DRIFT_SPIKE_RATIO);
         // The alert's recorded threshold must carry the effective value:
         // teleport a prototype and check the drift alert's threshold.
         let label = Activity::Still.label();
         let moved = model.support().class(label).unwrap().add_scalar(100.0);
         model.support_mut().put_class(label, moved);
         model.refresh_prototypes().unwrap();
-        let report = monitor.observe(&mut model).unwrap().expect("post-jump");
-        let drift = report
+        let report = monitor.observe(&mut model, true).unwrap().expect("post-jump");
+        let alert = report
             .alerts
             .iter()
             .find(|a| a.rule == AlertRule::DriftSpike)
             .expect("teleported prototype must still alert");
-        assert_eq!(drift.threshold, f64::from(eff.drift_spike_ratio));
+        assert_eq!(alert.threshold, f64::from(drift));
     }
 
     #[test]
     fn report_serde_round_trip() {
         let (mut model, _, probe) = fixture(5);
-        let mut monitor = QualityMonitor::new(probe, &old_labels(), Default::default());
-        let report = monitor.observe(&mut model).unwrap().expect("baseline");
+        let mut monitor = QualityMonitor::new(probe, &old_labels());
+        let report = monitor.observe(&mut model, false).unwrap().expect("baseline");
         let json = serde_json::to_string(&report).expect("serialise");
         let back: QualityReport = serde_json::from_str(&json).expect("deserialise");
         assert_eq!(back, report);

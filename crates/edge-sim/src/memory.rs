@@ -67,11 +67,6 @@ impl MemoryBudget {
         self.total_exemplars as u64 * self.exemplar_bytes()
     }
 
-    /// Bytes used by `n` stored exemplars.
-    pub fn bytes_for(&self, n: usize) -> u64 {
-        n as u64 * self.exemplar_bytes()
-    }
-
     /// Largest exemplar count fitting in `bytes`.
     pub fn exemplars_fitting(&self, bytes: u64) -> usize {
         (bytes / self.exemplar_bytes().max(1)) as usize
@@ -125,9 +120,9 @@ mod tests {
     }
 
     #[test]
-    fn exemplars_fitting_inverts_bytes_for() {
+    fn exemplars_fitting_inverts_exemplar_bytes() {
         let b = MemoryBudget::new(0, 80, ValueWidth::I8);
-        let bytes = b.bytes_for(123);
+        let bytes = 123 * b.exemplar_bytes();
         assert_eq!(b.exemplars_fitting(bytes), 123);
         assert_eq!(b.exemplars_fitting(bytes - 1), 122);
     }

@@ -296,10 +296,15 @@ impl QuantizedMatrix {
             context: "QuantizedMatrix codes",
             announced: rows as u64,
         })?;
-        if r.remaining() < cols * 8 + values * mode.bytes_per_value() {
+        // Offsets and scales take 8 bytes per column, codes their width
+        // per value; a count that wraps is as corrupt as one that overruns.
+        let section_bytes = cols
+            .checked_mul(8)
+            .and_then(|params| values.checked_mul(mode.bytes_per_value())?.checked_add(params));
+        if section_bytes.is_none_or(|bytes| r.remaining() < bytes) {
             return Err(WireError::LengthOverflow {
                 context: "QuantizedMatrix sections",
-                announced: values as u64,
+                announced: values.max(cols) as u64,
             });
         }
         let mut offsets = Vec::with_capacity(cols);
@@ -469,6 +474,21 @@ mod tests {
             r.finish().unwrap();
             assert_eq!(back, q);
         }
+    }
+
+    /// `rows = 0, cols = 1 << 61`: no codes, but `cols * 8` wraps to 0, so
+    /// a wrapping guard passes and the offsets allocation overflows.
+    #[test]
+    fn wrapping_column_count_is_a_typed_error() {
+        let mut w = WireWriter::new();
+        w.u64(0);
+        w.u64(1 << 61);
+        w.u8(Quantization::I8.tag());
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            QuantizedMatrix::from_wire(&mut WireReader::new(&bytes)),
+            Err(WireError::LengthOverflow { context: "QuantizedMatrix sections", .. })
+        ));
     }
 
     #[test]

@@ -246,25 +246,6 @@ pub fn extract_batch(raw: &RawDataset) -> Result<Tensor, TensorError> {
     extract_windows(&raw.windows)
 }
 
-/// Human-readable name of feature `index` (for reports and debugging).
-pub fn feature_name(index: usize) -> String {
-    assert!(index < FEATURE_DIM, "feature index {index} out of range");
-    if index < TRIAD_BLOCK {
-        let ch = index / 2;
-        let stat = if index.is_multiple_of(2) { "mean" } else { "var" };
-        format!("{}_{stat}", crate::sensors::channel_name(ch))
-    } else if index < GLOBAL_BLOCK {
-        let ti = (index - TRIAD_BLOCK) / 6;
-        let stat = ["mag_mean", "mag_var", "jerk_mean", "jerk_var", "energy", "zcr"]
-            [(index - TRIAD_BLOCK) % 6];
-        format!("{}_{stat}", Triad::ALL[ti].name())
-    } else {
-        ["total_energy", "mean_abs_deriv", "global_min", "global_max", "global_range", "energy_std"]
-            [index - GLOBAL_BLOCK]
-            .to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,18 +322,6 @@ mod tests {
             let row = Tensor::vector(batch.row(i));
             assert!(row.max_abs_diff(&single).unwrap() < 1e-7, "row {i}");
         }
-    }
-
-    #[test]
-    fn feature_names_are_unique_and_total() {
-        let names: Vec<String> = (0..FEATURE_DIM).map(feature_name).collect();
-        let mut dedup = names.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), FEATURE_DIM);
-        assert_eq!(names[0], "accelerometer_x_mean");
-        assert_eq!(names[44], "accelerometer_mag_mean");
-        assert_eq!(names[79], "energy_std");
     }
 
     #[test]

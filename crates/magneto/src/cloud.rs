@@ -273,11 +273,6 @@ impl CloudServer {
         CloudServer { corpus, normalizer, config }
     }
 
-    /// Labelled records available on the cloud.
-    pub fn corpus_len(&self) -> usize {
-        self.corpus.len()
-    }
-
     /// Pre-trains a model on the given classes and packages the
     /// deployment (Fig. 2 right, step i).
     pub fn pretrain_and_package(

@@ -11,8 +11,8 @@ use crate::cloud::{Deployment, PackageError, RollupError};
 use crate::events::{EventKind, EventLog};
 use crate::federated::FederatedError;
 use pilote_core::{
-    AccuracyMatrix, AdaptiveThresholds, EmbeddingNet, NcmClassifier, Pilote, QualityMonitor,
-    QualityReport, SupportSet, UpdateOutcome,
+    AccuracyMatrix, EmbeddingNet, NcmClassifier, Pilote, QualityMonitor, QualityReport, SupportSet,
+    UpdateOutcome,
 };
 use pilote_edge_sim::faults::{FlakyLink, LinkFault, RetryPolicy};
 use pilote_edge_sim::{DeviceProfile, LinkModel};
@@ -174,6 +174,11 @@ pub struct EdgeDevice {
     /// [`EdgeDevice::arm_quality_monitor`]. Sampled at every generation
     /// bump; fired rules surface as [`EventKind::AlertRaised`].
     quality: Option<QualityMonitor>,
+    /// Whether quality samples judge against thresholds derived from this
+    /// device's own probe history (`core::quality`'s adaptive rule). Set
+    /// exactly when the device belongs to a fleet with the self-healing
+    /// policy enabled ([`crate::fleet::Fleet::enable_policy`]).
+    pub(crate) adaptive_thresholds: bool,
     /// Telemetry state as of the last delta upload
     /// ([`EdgeDevice::telemetry_delta`]); the next delta ships only what
     /// accumulated since.
@@ -320,6 +325,7 @@ impl EdgeDevice {
             served_generation: None,
             cache_rebuilds: 0,
             quality: None,
+            adaptive_thresholds: false,
             telemetry_baseline: pilote_obs::Snapshot::default(),
         })
     }
@@ -433,7 +439,7 @@ impl EdgeDevice {
             let Some(monitor) = &mut dev.quality else {
                 return Ok((None, None));
             };
-            let report = monitor.observe(&mut dev.model)?;
+            let report = monitor.observe(&mut dev.model, dev.adaptive_thresholds)?;
             // When the monitor records a session matrix, a fresh report
             // means a fresh row — summarise it for the event log while the
             // monitor borrow is live.
@@ -484,15 +490,13 @@ impl EdgeDevice {
         self.quality.as_ref().map(|m| m.reports()).unwrap_or(&[])
     }
 
-    /// Enables (or disables, with `None`) per-device adaptive threshold
-    /// derivation on the armed quality monitor — the forgetting/drift
-    /// thresholds then track this device's own probe history instead of
-    /// the shared constants (see [`pilote_core::AdaptiveThresholds`]).
-    /// No-op when no monitor is armed.
-    pub fn set_adaptive_thresholds(&mut self, adaptive: Option<AdaptiveThresholds>) {
-        if let Some(monitor) = &mut self.quality {
-            monitor.set_adaptive(adaptive);
-        }
+    /// The forgetting threshold the armed monitor's next sample judges
+    /// against — derived from this device's own history when it belongs
+    /// to a policied fleet, the shared constant otherwise — or `None` when
+    /// no monitor is armed.
+    #[cfg(test)]
+    pub(crate) fn forgetting_threshold(&self) -> Option<f32> {
+        self.quality.as_ref().map(|m| m.forgetting_threshold(self.adaptive_thresholds))
     }
 
     /// Restores the device's last alert-free state (the policy's strike-1
@@ -906,7 +910,7 @@ impl std::fmt::Debug for EdgeDevice {
 mod tests {
     use super::*;
     use crate::cloud::CloudServer;
-    use pilote_core::{PiloteConfig, QualityThresholds};
+    use pilote_core::PiloteConfig;
     use pilote_har_data::dataset::generate_features;
     use pilote_har_data::{Activity, Simulator};
     use pilote_har_data::features::extract_batch;
@@ -986,9 +990,7 @@ mod tests {
         let probe = probe_set(&mut sim, &norm);
         let old = [Activity::Still.label(), Activity::Walk.label()];
         let clock_before_arm = device.log().now();
-        device
-            .arm_quality_monitor(QualityMonitor::new(probe, &old, QualityThresholds::default()))
-            .expect("arm");
+        device.arm_quality_monitor(QualityMonitor::new(probe, &old)).expect("arm");
         assert_eq!(device.quality_reports().len(), 1, "arming takes the baseline");
         let baseline_generation = device.quality_reports()[0].generation;
         assert_eq!(device.quality_reports()[0].forgetting, 0.0);
@@ -1023,9 +1025,7 @@ mod tests {
         let (mut device, mut sim, norm) = deployed_device();
         let probe = probe_set(&mut sim, &norm);
         let old = [Activity::Still.label(), Activity::Walk.label()];
-        device
-            .arm_quality_monitor(QualityMonitor::new(probe, &old, QualityThresholds::default()))
-            .expect("arm");
+        device.arm_quality_monitor(QualityMonitor::new(probe, &old)).expect("arm");
         assert_eq!(device.log().alert_count(), 0, "healthy baseline must not alert");
 
         // Teleport one class's support set: its prototype jumps by far

@@ -35,9 +35,9 @@ use crate::cloud::{Deployment, PackageError, ScenarioRollup, TelemetryRollup};
 use crate::edge::{EdgeDevice, EdgeError, InferenceOutcome, UpdateStatus};
 use crate::events::{EventKind, ExclusionReason, DEFAULT_EVENT_CAPACITY};
 use crate::federated::federated_average;
-use crate::policy::{FleetPolicy, PolicyConfig, RepairAction, RolloutStage};
+use crate::policy::{FleetPolicy, RepairAction, RolloutStage, QUARANTINE_ROUNDS};
 use crate::wire::{self, CodecError, WireConfig};
-use pilote_core::{AdaptiveThresholds, QualityMonitor};
+use pilote_core::QualityMonitor;
 use pilote_edge_sim::{DeviceProfile, LinkModel, WirePrecision};
 use pilote_nn::Checkpoint;
 use pilote_tensor::{parallel, Tensor};
@@ -88,8 +88,8 @@ impl Default for FleetConfig {
     }
 }
 
-/// A member's `base_round` after something wiped its copy of the last
-/// committed broadcast (a re-anchor or an uncommitted package install):
+/// A member's `base_round` after a re-anchor wiped its copy of the last
+/// committed broadcast:
 /// never equal to any committed round, so the member's next federated
 /// payload falls back to the full encoding.
 const STALE_ROUND: u64 = u64::MAX;
@@ -128,12 +128,12 @@ pub struct Fleet {
     sessions_served: u64,
     windows_served: u64,
     /// Self-healing control loop ([`crate::policy`]), armed via
-    /// [`Fleet::enable_policy`]. When present, federated rounds and
-    /// deployment rollouts run staged (canary → cohort → fleet) with
-    /// quarantine, repair escalation and halt-and-rollback.
+    /// [`Fleet::enable_policy`]. When present, federated rounds run staged
+    /// (canary → cohort → fleet) with quarantine, repair escalation and
+    /// halt-and-rollback.
     policy: Option<PolicyState>,
     /// Committed broadcast round: bumps once per completed federated
-    /// round or fleet-wide rollout. Delta payloads reference this round.
+    /// round. Delta payloads reference this round.
     round: u64,
     /// The last committed broadcast checkpoint — the shared reference
     /// both ends of a delta payload diff against. `None` never occurs
@@ -159,7 +159,7 @@ struct PolicyState {
 /// across [`WireConfig`]s to draw the accuracy-vs-bytes frontier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireTotals {
-    /// Package installs: initial deploys, rollouts and re-anchors.
+    /// Package installs: initial deploys and re-anchors.
     pub deploy_bytes: u64,
     /// Federated round uploads (device → coordinator).
     pub federated_upload_bytes: u64,
@@ -485,7 +485,7 @@ fn apply_repair(
         member.device.record_event(EventKind::QuarantineEntered {
             rule: rule.to_string(),
             strike,
-            rounds: state.policy.config().quarantine_rounds,
+            rounds: QUARANTINE_ROUNDS,
         });
     }
     match action {
@@ -507,8 +507,7 @@ fn apply_repair(
     Ok(())
 }
 
-/// The canary → cohort → fleet install both policied broadcasts share
-/// (a staged federated round and a staged deployment rollout). Each
+/// The canary → cohort → fleet install of a staged federated round. Each
 /// stage covers the members the policy lets receive: it snapshots each
 /// one and runs `install` on it, then samples every member's quality
 /// monitor and counts triggering alerts. When the stage's alert rate
@@ -517,14 +516,12 @@ fn apply_repair(
 /// its reports consumed so the next control step does not quarantine it
 /// for the broadcast's mistake. Later stages then never run.
 ///
-/// Returns the members of every completed stage, in stage order, and
-/// whether a stage halted.
+/// Returns whether a stage halted.
 fn staged_install(
     members: &mut [FleetMember],
     policy: &mut FleetPolicy,
     mut install: impl FnMut(usize, &mut FleetMember) -> Result<(), EdgeError>,
-) -> Result<(Vec<usize>, bool), EdgeError> {
-    let mut adopted = Vec::new();
+) -> Result<bool, EdgeError> {
     for stage in RolloutStage::ALL {
         let indices: Vec<usize> = policy
             .plan()
@@ -562,11 +559,10 @@ fn staged_install(
                 });
                 policy.mark_seen(i, device.quality_reports().len());
             }
-            return Ok((adopted, true));
+            return Ok(true);
         }
-        adopted.extend_from_slice(&indices);
     }
-    Ok((adopted, false))
+    Ok(false)
 }
 
 impl Fleet {
@@ -688,14 +684,9 @@ impl Fleet {
 
     /// Committed broadcast round — the generation delta payloads
     /// reference ([`crate::wire`]). Bumps once per completed federated
-    /// round or fleet-wide rollout.
+    /// round.
     pub fn committed_round(&self) -> u64 {
         self.round
-    }
-
-    /// The wire configuration this fleet's payloads ship under.
-    pub fn wire_config(&self) -> WireConfig {
-        self.config.wire
     }
 
     /// Cumulative wire bytes this fleet has moved, by traffic class —
@@ -904,38 +895,32 @@ impl Fleet {
     /// ([`crate::policy`]): stage plan derived from the fleet seed, every
     /// device starting healthy, and `anchor` as the strike-2 re-anchor
     /// package. Subsequent [`Fleet::federated_round`] calls run the
-    /// staged policied path and [`Fleet::rollout_deployment`] installs in
-    /// stages with halt-and-rollback.
-    pub fn enable_policy(
-        &mut self,
-        config: PolicyConfig,
-        anchor: Deployment,
-    ) -> Result<(), EdgeError> {
+    /// staged policied path.
+    ///
+    /// From here on every device samples its quality monitor adaptively:
+    /// forgetting and drift thresholds follow the device's own probe
+    /// history instead of the shared constants (`core::quality`). The
+    /// switch lives on the device, so monitors armed before or after this
+    /// call adapt alike.
+    pub fn enable_policy(&mut self, anchor: Deployment) -> Result<(), EdgeError> {
         // The anchor re-installs over the wire: store the decoded package
         // at the configured precision with its exact binary size, so a
         // re-anchor ships (and installs) the same bits a deploy would.
         let (anchor, anchor_bytes) = package_for_wire(&anchor, self.config.wire.precision)?;
         self.policy = Some(PolicyState {
-            policy: FleetPolicy::new(config, self.members.len(), self.config.seed),
+            policy: FleetPolicy::new(self.members.len(), self.config.seed),
             anchor,
             anchor_bytes,
         });
+        for member in &mut self.members {
+            member.device.adaptive_thresholds = true;
+        }
         Ok(())
     }
 
     /// The enabled self-healing policy, if any.
     pub fn policy(&self) -> Option<&FleetPolicy> {
         self.policy.as_ref().map(|s| &s.policy)
-    }
-
-    /// Enables per-device adaptive threshold derivation on every armed
-    /// quality monitor: each device's forgetting/drift thresholds then
-    /// track its own probe history instead of the shared constants (see
-    /// [`pilote_core::AdaptiveThresholds`]).
-    pub fn set_adaptive_thresholds(&mut self, adaptive: AdaptiveThresholds) {
-        for member in &mut self.members {
-            member.device.set_adaptive_thresholds(Some(adaptive));
-        }
     }
 
     /// The policied [`Fleet::federated_round`]: one control step (acting
@@ -999,7 +984,7 @@ impl Fleet {
         // 3. Staged install of the decoded broadcast payload — delta for
         //    current members, the full fallback for stale ones.
         let mut installed_current = vec![false; members.len()];
-        let (_, halted) = staged_install(members, &mut state.policy, |i, member| {
+        let halted = staged_install(members, &mut state.policy, |i, member| {
             installed_current[i] = broadcast.install(member, wire_totals)?;
             member.device.record_event(EventKind::FederatedRound { participants });
             Ok(())
@@ -1052,76 +1037,6 @@ impl Fleet {
             pilote_obs::counter("fleet.policy.staged_rounds").inc();
         }
         Ok(())
-    }
-
-    /// Installs a new cloud package across the fleet. Without a policy
-    /// this is a single wave: every device adopts the package, pays the
-    /// download on its link, and samples its quality monitor. With a
-    /// policy enabled the install runs canary → cohort → fleet with
-    /// halt-and-rollback, exactly like a staged federated round, and a
-    /// completed rollout re-bases the policy's re-anchor package on the
-    /// new deployment. Returns `true` when every stage completed, `false`
-    /// when a stage halted (its installs restored exactly).
-    pub fn rollout_deployment(&mut self, deployment: &Deployment) -> Result<bool, EdgeError> {
-        // Every device installs the decoded wire package (lossless at
-        // `f32`, genuinely quantised below it) and pays its exact binary
-        // size on the link. A completed rollout re-bases the federated
-        // delta chain on the package checkpoint — every installer now
-        // holds exactly those bits.
-        let (package, wire) = package_for_wire(deployment, self.config.wire.precision)?;
-        let Fleet { members, policy, round, base, wire_totals, .. } = self;
-        let mut install = |member: &mut FleetMember| -> Result<(), EdgeError> {
-            member.ship(wire, &mut wire_totals.deploy_bytes);
-            member.device.adopt_deployment(&package)?;
-            member.device.record_event(EventKind::Deployed { payload_bytes: wire });
-            Ok(())
-        };
-        let Some(state) = policy.as_mut() else {
-            for member in members.iter_mut() {
-                install(member)?;
-                member.device.sample_quality()?;
-            }
-            *round += 1;
-            for member in members.iter_mut() {
-                member.base_round = *round;
-            }
-            *base = Some(package.checkpoint);
-            return Ok(true);
-        };
-        let span = pilote_obs::span("fleet.rollout");
-        span.annotate("devices", members.len() as f64);
-        let (adopted, halted) =
-            staged_install(members, &mut state.policy, |_, member| install(member))?;
-        if halted {
-            // Devices from *completed* stages keep the new package: the
-            // rollout never commits, so their copy of the committed
-            // broadcast is gone and their next federated payload must be
-            // a full one.
-            for &i in &adopted {
-                members[i].base_round = STALE_ROUND;
-            }
-            drop(span);
-            if pilote_obs::enabled() {
-                pilote_obs::counter("fleet.policy.halted_rollouts").inc();
-            }
-            return Ok(false);
-        }
-        // The fleet now runs the new package everywhere: it becomes the
-        // re-anchor target and the new federated delta base. Held-out
-        // devices (quarantined, degraded) never installed it and stay on
-        // the full-payload fallback.
-        *round += 1;
-        for &i in &adopted {
-            members[i].base_round = *round;
-        }
-        *base = Some(package.checkpoint.clone());
-        state.anchor = package;
-        state.anchor_bytes = wire;
-        drop(span);
-        if pilote_obs::enabled() {
-            pilote_obs::counter("fleet.policy.rollouts").inc();
-        }
-        Ok(true)
     }
 
     /// Arms a clone of `monitor` on every device, in device-index order.
@@ -1306,7 +1221,7 @@ mod tests {
     use crate::cloud::CloudServer;
     use crate::events::EventKind;
     use crate::policy::DeviceHealth;
-    use pilote_core::{PiloteConfig, QualityThresholds};
+    use pilote_core::PiloteConfig;
     use pilote_har_data::Dataset;
     use pilote_har_data::dataset::generate_features;
     use pilote_har_data::features::extract_batch;
@@ -1495,9 +1410,7 @@ mod tests {
         let (mut fleet, mut sim, norm) = fleet(3, cfg);
         let probe = probe_set(&mut sim, &norm);
         let old = [Activity::Still.label(), Activity::Walk.label()];
-        fleet
-            .arm_quality_monitors(&QualityMonitor::new(probe, &old, QualityThresholds::default()))
-            .expect("arm");
+        fleet.arm_quality_monitors(&QualityMonitor::new(probe, &old)).expect("arm");
         for i in 0..fleet.len() {
             assert_eq!(fleet.device(i).quality_reports().len(), 1, "device {i} baseline");
         }
@@ -1576,7 +1489,7 @@ mod tests {
             if policied {
                 // No monitors armed: every stage completes, so the staged
                 // install reaches every member.
-                fleet.enable_policy(PolicyConfig::default(), deployment.clone()).expect("policy");
+                fleet.enable_policy(deployment.clone()).expect("policy");
             }
             // Diverge one member with a local update so the merge differs
             // from the deployment, then empty another member's support.
@@ -1643,17 +1556,6 @@ mod tests {
         fleet.federated_round().expect("second round");
         assert_eq!(fleet.committed_round(), 2);
         fleet.serve_session(1, &features).expect("serve after quantised installs");
-    }
-
-    #[test]
-    fn unpolicied_rollout_rebases_the_delta_chain() {
-        let cfg = FleetConfig { federated_every: 0, ..FleetConfig::default() };
-        let (mut fleet, _, _) = fleet(2, cfg);
-        let (package, _, _) = deployment();
-        assert!(fleet.rollout_deployment(&package).expect("rollout"));
-        assert_eq!(fleet.committed_round(), 1, "a fleet-wide install commits a new base");
-        fleet.federated_round().expect("round after rollout");
-        assert_eq!(fleet.committed_round(), 2);
     }
 
     #[test]
@@ -1846,10 +1748,8 @@ mod tests {
         let mut fleet = Fleet::deploy(slots(n), &deployment, cfg).expect("deploy");
         let probe = probe_set(&mut sim, &norm);
         let old = [Activity::Still.label(), Activity::Walk.label()];
-        fleet
-            .arm_quality_monitors(&QualityMonitor::new(probe, &old, QualityThresholds::default()))
-            .expect("arm");
-        fleet.enable_policy(PolicyConfig::default(), deployment.clone()).expect("policy");
+        fleet.arm_quality_monitors(&QualityMonitor::new(probe, &old)).expect("arm");
+        fleet.enable_policy(deployment.clone()).expect("policy");
         (fleet, deployment)
     }
 
@@ -1945,21 +1845,41 @@ mod tests {
         }
     }
 
+    /// Monitors in a policied fleet judge against thresholds derived from
+    /// their own history once it reaches the minimum length, whichever of
+    /// arming and enabling came first; without a policy the constant stays.
     #[test]
-    fn staged_rollout_completes_and_halted_rollout_restores_installs() {
-        let (mut fleet, deployment) = policied_fleet(4);
-        // A clean package clears every stage.
-        assert!(fleet.rollout_deployment(&deployment).expect("rollout"));
-        for i in 0..fleet.len() {
-            let installs = fleet
-                .device(i)
-                .log()
-                .events()
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::Deployed { .. }))
-                .count();
-            assert_eq!(installs, 2, "device {i}: initial install + staged rollout");
+    fn policy_makes_quality_thresholds_adaptive_in_either_order() {
+        use pilote_core::quality::{ADAPTIVE_MIN_HISTORY, FORGETTING_THRESHOLD};
+        for (policied, arm_first) in [(false, true), (true, true), (true, false)] {
+            let (deployment, mut sim, norm) = deployment();
+            let cfg = FleetConfig { federated_every: 0, ..FleetConfig::default() };
+            let mut fleet = Fleet::deploy(slots(2), &deployment, cfg).expect("deploy");
+            let old = [Activity::Still.label(), Activity::Walk.label()];
+            let monitor = QualityMonitor::new(probe_set(&mut sim, &norm), &old);
+            if arm_first {
+                fleet.arm_quality_monitors(&monitor).expect("arm");
+            }
+            if policied {
+                fleet.enable_policy(deployment.clone()).expect("policy");
+            }
+            if !arm_first {
+                fleet.arm_quality_monitors(&monitor).expect("arm");
+            }
+            let case = format!("policied: {policied}, armed first: {arm_first}");
+            for i in 0..fleet.len() {
+                let device = fleet.device_mut(i);
+                assert_eq!(device.forgetting_threshold(), Some(FORGETTING_THRESHOLD), "{case}");
+                // Prototype refreshes bump the generation without moving
+                // the model: an all-zero forgetting history, which the
+                // adaptive rule clamps to half the constant.
+                while device.quality_reports().len() < ADAPTIVE_MIN_HISTORY {
+                    device.model_mut().refresh_prototypes().expect("refresh");
+                    device.sample_quality().expect("sample");
+                }
+                let want = if policied { 0.5 * FORGETTING_THRESHOLD } else { FORGETTING_THRESHOLD };
+                assert_eq!(device.forgetting_threshold(), Some(want), "{case}, device {i}");
+            }
         }
-        assert_eq!(fleet.policy().expect("policy").summary().halts, 0);
     }
 }

@@ -222,10 +222,15 @@ fn read_tensor(r: &mut WireReader<'_>, precision: WirePrecision) -> Result<Tenso
     for _ in 0..rank {
         dims.push(r.u64()? as usize);
     }
-    let len: usize = dims.iter().product();
+    // Announced dims are untrusted: an element or byte count that does
+    // not fit a `usize` is a typed error, never a wrapped guard.
+    let len = dims
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or(WireError::LengthOverflow { context: "tensor shape", announced: u64::MAX })?;
     let t = match quantization_of(precision) {
         None => {
-            if r.remaining() < len * 4 {
+            if len.checked_mul(4).is_none_or(|bytes| r.remaining() < bytes) {
                 return Err(WireError::LengthOverflow {
                     context: "tensor values",
                     announced: len as u64,
@@ -984,6 +989,26 @@ mod tests {
         assert!(matches!(
             decode_session_matrix(&bytes),
             Err(CodecError::Wire(WireError::BadTag { context: "session known flag", .. }))
+        ));
+    }
+
+    /// A rank-1 f32 tensor announcing `(1 << 62) + 1` values: the element
+    /// count fits a `usize`, but its byte count wraps to 4, which the few
+    /// bytes left would satisfy if the guard wrapped too.
+    #[test]
+    fn wrapping_tensor_byte_count_is_a_typed_error() {
+        let mut w = WireWriter::with_magic(ROUND_MAGIC);
+        w.u8(WirePrecision::F32.tag());
+        w.u8(ROUND_FULL);
+        w.u32(1); // checkpoint version
+        w.u64(1); // tensors
+        w.u64(1); // rank
+        w.u64((1 << 62) + 1);
+        w.f32(0.0);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            decode_round(&bytes, None),
+            Err(CodecError::Wire(WireError::LengthOverflow { context: "tensor values", .. }))
         ));
     }
 

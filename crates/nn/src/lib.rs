@@ -19,8 +19,8 @@
 //!   embedding distillation loss of Algorithm 1 line 11, plus MSE, softmax
 //!   cross-entropy and temperature-scaled knowledge distillation for the
 //!   LwF strategy's softmax head.
-//! * **Optimizers** ([`optim`]): SGD, SGD-with-momentum and Adam (the
-//!   paper trains with Adam).
+//! * **Optimizers** ([`optim`]): Adam, the optimizer the paper trains
+//!   with, behind the [`Optimizer`] trait.
 //! * **Schedulers** ([`sched`]): the paper's "start at 0.01 and halve
 //!   every epoch" rule and the step decay cloud pre-training uses.
 //! * **Training utilities** ([`train`]): mini-batch iteration, the paper's
@@ -44,7 +44,7 @@ pub mod sched;
 pub mod train;
 
 pub use layer::{BatchNorm1d, Dense, Dropout, Layer, Mode, ReLU, Sequential};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use delta::{CheckpointDelta, DeltaError};
 pub use persist::{Checkpoint, CheckpointError};
 pub use plan::InferencePlan;

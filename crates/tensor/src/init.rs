@@ -20,13 +20,6 @@ impl Tensor {
         Tensor::from_vec(data, shape).expect("length matches by construction")
     }
 
-    /// Glorot/Xavier uniform initialisation for a `[fan_in, fan_out]`
-    /// weight matrix: `U(−√(6/(fan_in+fan_out)), +√(6/(fan_in+fan_out)))`.
-    pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut Rng64) -> Tensor {
-        let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
-        Tensor::rand_uniform([fan_in, fan_out], -bound, bound, rng)
-    }
-
     /// He/Kaiming normal initialisation for ReLU networks:
     /// `N(0, √(2/fan_in))`.
     pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut Rng64) -> Tensor {
@@ -54,17 +47,6 @@ mod tests {
         assert!(t.min().unwrap() >= -2.0);
         assert!(t.max().unwrap() < 3.0);
         assert!((t.mean() - 0.5).abs() < 0.1);
-    }
-
-    #[test]
-    fn xavier_bound_matches_formula() {
-        let mut rng = Rng64::new(3);
-        let (fi, fo) = (30, 20);
-        let t = Tensor::xavier_uniform(fi, fo, &mut rng);
-        let bound = (6.0f32 / 50.0).sqrt();
-        assert!(t.max().unwrap() <= bound);
-        assert!(t.min().unwrap() >= -bound);
-        assert_eq!(t.shape().dims(), &[fi, fo]);
     }
 
     #[test]

@@ -8,45 +8,49 @@
 #   4. rustdoc with warnings denied (broken intra-doc links fail the gate)
 #   5. clippy with warnings denied
 #   6. the fault matrix (docs/RESILIENCE.md): the fault property suite
-#      under several fixed fault seeds, plus the end-to-end `repro faults`
-#      determinism check (ignored in the normal suite — two full sweeps)
-#   7. the observability gate (docs/OBSERVABILITY.md): no std::time in the
+#      under several fixed fault seeds
+#   7. the ignored tests: every slow `#[ignore]` experiment test in
+#      crates/bench (the faults, obs, fleet, quality, policy, wire and
+#      scenarios determinism checks), run serially — the obs test reads
+#      the process-global obs registry and fails when another experiment
+#      records into it concurrently
+#   8. the observability gate (docs/OBSERVABILITY.md): no std::time in the
 #      telemetry/virtual-clock paths, `repro obs` byte-identical at
 #      PILOTE_THREADS 1 vs 4, and a PILOTE_OBS=0 kill-switch run
-#   8. the fleet gate (docs/FLEET.md): `repro fleet` run twice plus once
+#   9. the fleet gate (docs/FLEET.md): `repro fleet` run twice plus once
 #      at PILOTE_THREADS=4, all three JSON outputs byte-compared
-#   9. the quality gate (docs/QUALITY.md): `repro quality` run twice plus
+#  10. the quality gate (docs/QUALITY.md): `repro quality` run twice plus
 #      once at PILOTE_THREADS=4, BENCH_quality.json and
 #      trace_quality.json byte-compared; the trace must parse as JSON
 #      with a non-empty traceEvents array and the A/B demo must show the
 #      re-trained arm alerting while the PILOTE arm does not
-#  10. the policy gate (docs/POLICY.md): `repro policy` run twice plus
+#  11. the policy gate (docs/POLICY.md): `repro policy` run twice plus
 #      once at PILOTE_THREADS=4, BENCH_policy.json byte-compared; the
 #      closed-loop A/B must halt the poisoned canary, quarantine both
 #      offenders, degrade the repeat one and end with fewer forgetting
 #      alerts than the policy-off arm
-#  11. the kernels gate (docs/KERNELS.md): `repro kernels` run twice plus
+#  12. the kernels gate (docs/KERNELS.md): `repro kernels` run twice plus
 #      once at PILOTE_THREADS=4, the deterministic BENCH_kernels_check.json
 #      byte-compared; oversubscribed rows must be flagged and claim no
 #      speedup, and the packed GEMM must not lose to the legacy loop
-#  12. the docs gate: every relative markdown link in README/DESIGN/
+#  13. the docs gate: every relative markdown link in README/DESIGN/
 #      EXPERIMENTS/docs resolves, and every docs/*.md is reachable from
 #      README.md by following links
-#  13. the scaling gate (docs/SCALING.md): `repro fleet --scale large`
+#  14. the scaling gate (docs/SCALING.md): `repro fleet --scale large`
 #      at a reduced device count, run twice plus once at
 #      PILOTE_THREADS=4, BENCH_fleet_large.json byte-compared
-#  14. the wire gate (docs/WIRE.md): `repro wire` run twice plus once at
+#  15. the wire gate (docs/WIRE.md): `repro wire` run twice plus once at
 #      PILOTE_THREADS=4, BENCH_wire.json byte-compared; i8-delta must
 #      move fewer federated bytes than f32-full and undercut the
 #      JSON-f32 baseline ≥4× at <1 point of old-class accuracy loss
-#  15. the scenarios gate (docs/METRICS.md): `repro scenarios` run twice
+#  16. the scenarios gate (docs/METRICS.md): `repro scenarios` run twice
 #      plus once at PILOTE_THREADS=4, BENCH_scenarios.json byte-compared;
 #      every strategy's accuracy matrix must cover the full schedule and
 #      PILOTE's final forgetting must stay strictly below re-trained's
-#  16. the index gate: `repro index` over the committed results/ BENCH
+#  17. the index gate: `repro index` over the committed results/ BENCH
 #      files must parse every one, resolve every headline metric, and
 #      reproduce the committed BENCH_index.json byte-for-byte
-#  17. the perfbench build: the stand-alone benchmark package sits outside
+#  18. the perfbench build: the stand-alone benchmark package sits outside
 #      the workspace, so it is built and its unit tests run here — a
 #      public-API change that breaks the benchmark fails the gate
 #
@@ -111,8 +115,9 @@ for seed in 11 4242 20230328; do
   PILOTE_FAULT_SEED="$seed" cargo test --release --test fault_props -q
 done
 
-step "fault matrix: repro faults determinism (ignored test, release)"
-cargo test --release -p pilote-bench exp_faults -- --ignored
+step "ignored tests: every slow experiment test in crates/bench, serially (release)"
+# Serial: the exp_obs test reads the process-global obs registry.
+cargo test --release -p pilote-bench --lib -- --ignored --test-threads=1
 
 # --- observability gate (docs/OBSERVABILITY.md) ---------------------------
 

@@ -64,9 +64,8 @@ pub mod prelude {
     pub use pilote_core::strategies::Strategy;
     pub use pilote_core::{
         accuracy, select_exemplars, AccuracyMatrix, ConfusionMatrix, EmbeddingNet, NcmClassifier,
-        NetConfig, AdaptiveThresholds, Pilote, PiloteConfig, QualityMonitor, QualityReport,
-        QualityThresholds, SelectionStrategy, SessionRecord, SessionSummary, SupportSet,
-        TaskGroup,
+        NetConfig, Pilote, PiloteConfig, QualityMonitor, QualityReport, SelectionStrategy,
+        SessionRecord, SessionSummary, SupportSet, TaskGroup,
     };
     pub use pilote_edge_sim::{
         CrashPlan, DeviceProfile, FaultPlan, FlakyLink, LatencyMeter, LinkFaultRates, LinkModel,
@@ -74,7 +73,7 @@ pub mod prelude {
     };
     pub use pilote_magneto::{
         CloudServer, EdgeDevice, EdgeError, FederatedError, Fleet, FleetConfig, FleetPolicy,
-        FleetStats, PolicyConfig, ScenarioRollup, TelemetryRollup, UpdateStatus,
+        FleetStats, ScenarioRollup, TelemetryRollup, UpdateStatus,
     };
     pub use pilote_har_data::dataset::generate_features;
     pub use pilote_har_data::{Activity, Dataset, Simulator, SimulatorConfig, FEATURE_DIM};

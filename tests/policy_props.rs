@@ -17,8 +17,7 @@
 //! test serialises on [`CONFIG_LOCK`], same as `tests/fleet_props.rs`.
 
 use pilote::magneto::{
-    federated_average, Deployment, EventKind, ExclusionReason, Fleet, FleetConfig, PolicyConfig,
-    RolloutStage,
+    federated_average, Deployment, EventKind, ExclusionReason, Fleet, FleetConfig, RolloutStage,
 };
 use pilote::nn::{Checkpoint, Layer};
 use pilote::prelude::*;
@@ -73,16 +72,9 @@ fn policied_fleet(seed: u64) -> Fleet {
     let config = FleetConfig { seed, federated_every: 0, ..FleetConfig::default() };
     let mut fleet = Fleet::deploy(slots, &fx.deployment, config).expect("deploy");
     fleet
-        .arm_quality_monitors(&QualityMonitor::new(
-            fx.probe.clone(),
-            &fx.old_labels,
-            QualityThresholds::default(),
-        ))
+        .arm_quality_monitors(&QualityMonitor::new(fx.probe.clone(), &fx.old_labels))
         .expect("arm");
-    fleet
-        .enable_policy(PolicyConfig::default(), fx.deployment.clone())
-        .expect("enable policy");
-    fleet.set_adaptive_thresholds(AdaptiveThresholds::default());
+    fleet.enable_policy(fx.deployment.clone()).expect("enable policy");
     fleet
 }
 

@@ -248,10 +248,7 @@ fn run_schedule(deployment: &Deployment, probe: &Dataset, new: &Dataset) -> Edge
         EdgeDevice::install(DeviceProfile::flagship_phone(), deployment, &LinkModel::wifi())
             .expect("install");
     device
-        .arm_quality_monitor(
-            QualityMonitor::new(probe.clone(), &base, QualityThresholds::default())
-                .with_session_tasks(tasks),
-        )
+        .arm_quality_monitor(QualityMonitor::new(probe.clone(), &base).with_session_tasks(tasks))
         .expect("arm");
     for i in 0..new.features.rows() {
         device.label_sample(Activity::Run.label(), Tensor::vector(new.features.row(i)));
